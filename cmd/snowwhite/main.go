@@ -23,10 +23,10 @@
 //
 //	snowwhite predict {-model model.bin | -packages N} -file prog.c
 //	snowwhite ingest  {-model model.bin | -packages N} {-file bin.wasm | -dir DIR} [-eval] [-k N] [-j N] [-precision f64|f32] [-out report.json]
-//	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-batch N] [-batch-wait D] [-fast-math] [-fast-model model.qbin] [-f32] [-f32-model model.qbin] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
+//	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-batch N] [-batch-wait D] [-f32] [-f32-model model.qbin] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
 //	snowwhite bench-serve -addr host:port -file bin.wasm [-qps N] [-duration D] [-sweep "10,50,100"] [-out BENCH_predict.json]
 //	snowwhite export  -model model.bin -out model.qbin [-quantize int8|f32]
-//	snowwhite acctest {-model model.bin | -packages N} -dir DIR [-quantize int8|f32] [-fast-model model.qbin] [-precision f64|f32] [-k N] [-budget 0.99]
+//	snowwhite acctest {-model model.bin | -packages N} -dir DIR [-quantize int8|f32] [-cand-model model.qbin] [-k N] [-budget 0.99]
 //	snowwhite table1                                      Table 1
 //
 // `snowwhite ingest` accepts arbitrary MVP wasm binaries — unknown and
@@ -44,16 +44,13 @@
 // beam decodes: up to -batch queries (default 8) share one decoder GEMM
 // per step, and a non-full batch waits at most -batch-wait (default 2ms)
 // for stragglers; a lone request never waits. -batch 1 disables batching.
-// With -fast-math the server additionally loads a fast-math engine
-// (quantized weights + fused-rounding inference kernels) that answers
-// requests opting in with fast=true; the engine comes from -fast-model
-// when given, otherwise from an in-memory int8 quantization of the
-// primary model. -f32 (or -f32-model) likewise serves a single-precision
-// engine — float32 weights, f32 tapes, and 8-lane kernels — to requests
-// opting in with precision=f32; its in-memory form is the f32
-// quantization of the primary model loaded straight into float32
-// storage, halving that engine's resident weights. -pprof-addr exposes
-// net/http/pprof on a separate listener (off by default).
+// With -f32 (or -f32-model) the server additionally loads a
+// single-precision engine — float32 weights, f32 tapes, and 8-lane
+// kernels — that answers requests opting in with precision=f32; it comes
+// from -f32-model when given, otherwise from the f32 quantization of the
+// primary model loaded straight into float32 storage, halving that
+// engine's resident weights. -pprof-addr exposes net/http/pprof on a
+// separate listener (off by default).
 //
 // The server is a multi-model registry: -add-model registers further
 // models (POST /v1/models/{name}/predict routes to them; /v1/predict
@@ -71,12 +68,13 @@
 // `snowwhite export` converts a trained full-precision predictor into
 // the quantized on-disk format (int8 affine per matrix, or float32).
 // Quantized files load anywhere a model file is accepted — the magic
-// prefix routes them to the fast-math loader automatically.
+// prefix routes them to the quantized loader automatically, which lands
+// the weights on the f32 engine.
 //
 // `snowwhite acctest` is the accuracy-budget gate: it extracts every
 // predictable signature element from the .wasm binaries under -dir,
-// decodes them with both the full-precision reference and the
-// quantized/fast-math candidate, and fails (exit 1) unless the
+// decodes them with both the full-precision reference and the quantized
+// f32-engine candidate, and fails (exit 1) unless the
 // candidate's top-1 prediction falls within the reference's top-k on at
 // least -budget of the queries.
 package main
@@ -377,7 +375,7 @@ func runTrain(args []string) error {
 
 // loadOrTrain returns a saved predictor when modelPath is set, otherwise
 // trains one from a fresh synthetic dataset. Both on-disk formats load:
-// quantized exports come back with fast-math inference enabled.
+// quantized exports come back on the f32 engine.
 func loadOrTrain(modelPath string, opts commonOpts) (*core.Predictor, error) {
 	if modelPath != "" {
 		p, err := core.LoadPredictorAuto(modelPath)
@@ -521,21 +519,17 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 // parseModelSpec parses one -add-model value:
-// name=path[,fast=quantized.qbin][,quantize=int8|f32][,f32=quantized.qbin][,f32-quantize=int8|f32].
+// name=path[,f32=quantized.qbin][,f32-quantize=int8|f32].
 func parseModelSpec(spec string) (name string, src server.ModelSource, err error) {
 	eq := strings.IndexByte(spec, '=')
 	if eq <= 0 {
-		return "", src, fmt.Errorf("invalid -add-model %q (want name=path[,fast=F][,quantize=M][,f32=F][,f32-quantize=M])", spec)
+		return "", src, fmt.Errorf("invalid -add-model %q (want name=path[,f32=F][,f32-quantize=M])", spec)
 	}
 	name = spec[:eq]
 	parts := strings.Split(spec[eq+1:], ",")
 	src.Path = parts[0]
 	for _, p := range parts[1:] {
 		switch {
-		case strings.HasPrefix(p, "fast="):
-			src.FastPath = strings.TrimPrefix(p, "fast=")
-		case strings.HasPrefix(p, "quantize="):
-			src.Quantize = strings.TrimPrefix(p, "quantize=")
 		case strings.HasPrefix(p, "f32="):
 			src.F32Path = strings.TrimPrefix(p, "f32=")
 		case strings.HasPrefix(p, "f32-quantize="):
@@ -568,14 +562,11 @@ func runServe(args []string) error {
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 	batch := fs.Int("batch", 8, "max queries coalesced per batched beam decode (<=1 disables)")
 	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max time a non-full batch waits for stragglers")
-	fastMath := fs.Bool("fast-math", false, "also serve a fast-math engine for requests with fast=true")
-	fastModel := fs.String("fast-model", "", "quantized model file for the fast-math engine (default: in-memory int8 quantization of the primary model; implies -fast-math)")
-	quantize := fs.String("quantize", "int8", "quantization mode for the in-memory fast-math engine (int8 or f32)")
 	f32 := fs.Bool("f32", false, "also serve a single-precision engine for requests with precision=f32")
 	f32Model := fs.String("f32-model", "", "quantized model file for the f32 engine (default: in-memory f32 quantization of the primary model; implies -f32)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	var addModels multiFlag
-	fs.Var(&addModels, "add-model", "register an extra model: name=path[,fast=F][,quantize=M] (repeatable)")
+	fs.Var(&addModels, "add-model", "register an extra model: name=path[,f32=F][,f32-quantize=M] (repeatable)")
 	fs.Parse(args)
 
 	p, err := loadOrTrain(*modelPath, opts)
@@ -583,33 +574,15 @@ func runServe(args []string) error {
 		return err
 	}
 	defSrc := server.ModelSource{Path: *modelPath}
-	var fastPred *core.Predictor
-	if *fastModel != "" {
-		if fastPred, err = core.LoadQuantizedPredictor(*fastModel); err != nil {
-			return err
-		}
-		defSrc.FastPath = *fastModel
-		logLine("loaded fast-math predictor from " + *fastModel)
-	} else if *fastMath {
-		mode, err := quant.ParseMode(*quantize)
-		if err != nil {
-			return err
-		}
-		if fastPred, err = core.QuantizePredictor(p, mode); err != nil {
-			return err
-		}
-		defSrc.Quantize = string(mode)
-		logLine(fmt.Sprintf("fast-math engine ready (in-memory %s quantization)", mode))
-	}
 	var f32Pred *core.Predictor
 	if *f32Model != "" {
-		if f32Pred, err = core.LoadQuantizedPredictorPrecision(*f32Model, "f32"); err != nil {
+		if f32Pred, err = core.LoadQuantizedPredictor(*f32Model); err != nil {
 			return err
 		}
 		defSrc.F32Path = *f32Model
 		logLine("loaded f32 predictor from " + *f32Model)
 	} else if *f32 {
-		if f32Pred, err = core.QuantizePredictorPrecision(p, quant.F32, "f32"); err != nil {
+		if f32Pred, err = core.QuantizePredictor(p, quant.F32); err != nil {
 			return err
 		}
 		defSrc.F32Quantize = string(quant.F32)
@@ -641,7 +614,6 @@ func runServe(args []string) error {
 		BatchSize:      *batch,
 		BatchWait:      *batchWait,
 		DefaultModel:   *modelName,
-		FastPred:       fastPred,
 		F32Pred:        f32Pred,
 	}, defSrc)
 	if err != nil {
@@ -725,7 +697,7 @@ func runExport(args []string) error {
 	return nil
 }
 
-// runAcctest runs the accuracy-budget gate: the quantized/fast-math
+// runAcctest runs the accuracy-budget gate: the quantized f32-engine
 // candidate against the full-precision reference over every predictable
 // signature element under -dir. Exit status 1 when the candidate's
 // top-k agreement falls below -budget.
@@ -735,8 +707,7 @@ func runAcctest(args []string) error {
 	modelPath := fs.String("model", "", "load a saved full-precision predictor instead of training one")
 	dir := fs.String("dir", "", "directory of .wasm evaluation binaries")
 	quantize := fs.String("quantize", "int8", "quantization mode for the in-memory candidate (int8 or f32)")
-	fastModel := fs.String("fast-model", "", "use this quantized model file as the candidate instead of quantizing in memory")
-	precision := fs.String("precision", "", "candidate inference engine: f32 lands the candidate on the single-precision engine (default: fast-math f64)")
+	candModel := fs.String("cand-model", "", "use this quantized model file as the candidate instead of quantizing in memory")
 	topK := fs.Int("k", 3, "reference beam width the candidate's top-1 must fall within")
 	budget := fs.Float64("budget", 0.99, "minimum fraction of queries whose candidate top-1 is in the reference top-k")
 	out := fs.String("out", "", "write the JSON report here (default stdout)")
@@ -750,24 +721,20 @@ func runAcctest(args []string) error {
 		return err
 	}
 	var cand *core.Predictor
-	if *fastModel != "" {
-		if cand, err = core.LoadQuantizedPredictorPrecision(*fastModel, *precision); err != nil {
+	if *candModel != "" {
+		if cand, err = core.LoadQuantizedPredictor(*candModel); err != nil {
 			return err
 		}
-		logLine("candidate: quantized predictor " + *fastModel)
+		logLine("candidate: quantized predictor " + *candModel)
 	} else {
 		mode, err := quant.ParseMode(*quantize)
 		if err != nil {
 			return err
 		}
-		if cand, err = core.QuantizePredictorPrecision(ref, mode, *precision); err != nil {
+		if cand, err = core.QuantizePredictor(ref, mode); err != nil {
 			return err
 		}
-		engine := "fast-math kernels"
-		if *precision == "f32" {
-			engine = "f32 engine"
-		}
-		logLine(fmt.Sprintf("candidate: in-memory %s quantization + %s", mode, engine))
+		logLine(fmt.Sprintf("candidate: in-memory %s quantization + f32 engine", mode))
 	}
 
 	queries, skipped, err := accbudget.QueriesFromDir(ref, *dir)

@@ -1,12 +1,13 @@
 // Package accbudget is the accuracy-budget harness for the
-// inference-only fast-math engine. Quantized weights and fused-rounding
-// kernels (ad.NewForwardFast, internal/quant) trade bitwise fidelity
-// for speed; this package measures what that trade costs on real
-// queries and enforces a budget on it: the candidate (quantized or
-// fast-math) predictor's top-1 prediction must appear in the reference
-// (full-precision) predictor's top-k on at least a configured fraction
-// of a held-out evaluation set. scripts/verify.sh wires the gate into
-// the standard check; `snowwhite acctest` is the CLI entry point.
+// inference-only f32 engine. Quantized weights and single-precision
+// fused-rounding kernels (ad.NewForwardF32, internal/quant) trade
+// bitwise fidelity for speed; this package measures what that trade
+// costs on real queries and enforces a budget on it: the candidate
+// (quantized, f32-engine) predictor's top-1 prediction must appear in
+// the reference (full-precision) predictor's top-k on at least a
+// configured fraction of a held-out evaluation set. scripts/verify.sh
+// wires the gate into the standard check; `snowwhite acctest` is the
+// CLI entry point.
 package accbudget
 
 import (

@@ -30,7 +30,7 @@ func tinyPredictor(t *testing.T) *core.Predictor {
 // TestHarnessEndToEnd drives the full accuracy-budget flow on the
 // checked-in evaluation binaries: extract queries, compare the
 // reference against itself (must agree perfectly), then against its
-// quantized fast-math counterpart (must produce a consistent report).
+// quantized f32-engine counterpart (must produce a consistent report).
 func TestHarnessEndToEnd(t *testing.T) {
 	p := tinyPredictor(t)
 	queries, skipped, err := QueriesFromDir(p, "../ingest/testdata")
@@ -79,7 +79,7 @@ func TestHarnessEndToEnd(t *testing.T) {
 		t.Errorf("kind totals %d+%d do not sum to %d", self.ParamTotal, self.ReturnTotal, self.Total)
 	}
 
-	// Reference vs quantized fast-math candidate: the report must stay
+	// Reference vs quantized f32-engine candidate: the report must stay
 	// internally consistent whatever the agreement comes out to.
 	for _, mode := range []quant.Mode{quant.F32, quant.Int8} {
 		q, err := core.QuantizePredictor(p, mode)

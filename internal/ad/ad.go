@@ -54,8 +54,8 @@ func (v *V) Elems() int {
 // float64 weights. Models call it once per parameter when an f32
 // inference engine is selected, so shared weights are converted exactly
 // once; it must not race with concurrent readers of W32 (convert before
-// serving, like SetFastMath). Values without f64 storage keep their W32
-// as is.
+// serving, like SetPrecision). Values without f64 storage keep their
+// W32 as is.
 func (v *V) SyncF32() {
 	if len(v.W) == 0 {
 		return
@@ -110,17 +110,11 @@ type Tape struct {
 	// live tracks pool-eligible values allocated since the last Keep or
 	// ReleaseExcept.
 	live []*V
-	// fast marks an inference-only fast-math tape (NewForwardFast):
-	// matmuls dispatch to the fused-rounding kernels in kernels_fast.go.
-	// Only the forward-only constructor can set it, and MatMul
-	// additionally requires !grad, so a recording tape can never reach
-	// the fast kernels.
-	fast bool
 	// f32 marks a single-precision forward tape (NewForwardF32): every
 	// op computes in float32 (V.W32) through the kernels in
-	// kernels_f32.go. Like fast, only the forward-only constructor sets
-	// it and every dispatch additionally requires !grad, so recording
-	// tapes provably cannot reach the f32 kernels (TestF32Dispatch).
+	// kernels_f32.go. Only the forward-only constructor sets it and every
+	// dispatch additionally requires !grad, so recording tapes provably
+	// cannot reach the f32 kernels (TestF32Dispatch).
 	f32 bool
 }
 
@@ -140,32 +134,19 @@ func NewTraining(pool *Pool) *Tape { return &Tape{grad: true, pool: pool} }
 // reuse via ReleaseExcept.
 func NewForward(pool *Pool) *Tape { return &Tape{pool: pool} }
 
-// NewForwardFast returns a forward-only tape whose matmuls use the
-// fast-math inference kernels: fused multiply-add rounding and no
-// skip-zero tests (kernels_fast.go). Results are deterministic but not
-// bitwise-equal to NewForward; accuracy against the full-precision path
-// is governed by the accbudget harness, not the bitwise oracle. There
-// is deliberately no recording variant: training requires the bitwise
-// kernels.
-func NewForwardFast(pool *Pool) *Tape { return &Tape{pool: pool, fast: true} }
-
 // NewForwardF32 returns a forward-only single-precision tape: every op
 // computes in float32 storage (V.W32) with fused-rounding 8-lane
 // kernels and fast float32 transcendentals (kernels_f32.go). It is the
-// third engine tier after exact-f64 and fast-f64: deterministic for a
-// given input and host, but a different numeric contract governed by
-// the accbudget harness. There is deliberately no recording variant —
+// approximate engine beside exact-f64: deterministic for a given input
+// and host, but a different numeric contract governed by the accbudget
+// harness. There is deliberately no recording variant —
 // training stays float64 on the bitwise kernels — and inputs' float64
 // weights must be synced once via SyncF32 (Model.SetPrecision does)
 // before concurrent use.
-func NewForwardF32(pool *Pool) *Tape { return &Tape{pool: pool, fast: true, f32: true} }
+func NewForwardF32(pool *Pool) *Tape { return &Tape{pool: pool, f32: true} }
 
 // Recording reports whether the tape retains a backward pass.
 func (t *Tape) Recording() bool { return t.grad }
-
-// FastMath reports whether the tape dispatches matmuls to the fast-math
-// inference kernels.
-func (t *Tape) FastMath() bool { return t.fast && !t.grad }
 
 // F32 reports whether the tape computes in single precision.
 func (t *Tape) F32() bool { return t.f32 && !t.grad }
@@ -295,18 +276,15 @@ func (t *Tape) MatMul(a, b *V) *V {
 		return t.matMulF32(a, b)
 	}
 	out := t.new(a.R, b.C)
-	if t.fast && !t.grad {
-		matmulFast(out.W, a.W, b.W, a.R, a.C, b.C)
-	} else {
-		matmul(out.W, a.W, b.W, a.R, a.C, b.C)
+	matmul(out.W, a.W, b.W, a.R, a.C, b.C)
+	if !t.grad {
+		return out
 	}
-	if t.grad {
-		t.record(func() {
-			// dA += dOut @ B^T ; dB += A^T @ dOut
-			matmulNT(a.G, out.G, b.W, a.R, b.C, a.C)
-			matmulTN(b.G, a.W, out.G, a.C, a.R, b.C)
-		})
-	}
+	t.record(func() {
+		// dA += dOut @ B^T ; dB += A^T @ dOut
+		matmulNT(a.G, out.G, b.W, a.R, b.C, a.C)
+		matmulTN(b.G, a.W, out.G, a.C, a.R, b.C)
+	})
 	return out
 }
 

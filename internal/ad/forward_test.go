@@ -1,6 +1,7 @@
 package ad
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -101,8 +102,18 @@ func TestForwardTapeRecordsNothing(t *testing.T) {
 	}
 }
 
+// equalW reports whether a and b have the same shape and bitwise-equal
+// storage in both precisions.
 func equalW(a, b *V) bool {
-	return a.R == b.R && a.C == b.C && equalWSlice(a.W, b.W)
+	if a.R != b.R || a.C != b.C || !equalWSlice(a.W, b.W) || len(a.W32) != len(b.W32) {
+		return false
+	}
+	for i := range a.W32 {
+		if math.Float32bits(a.W32[i]) != math.Float32bits(b.W32[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func equalWSlice(a, b []float64) bool {

@@ -2,31 +2,33 @@ package ad
 
 import "math"
 
-// Single-precision inference kernels: the float32 tier below the
-// fast-math float64 kernels (kernels_fast.go), reachable only through
-// f32 forward tapes (NewForwardF32) — recording tapes dispatch to the
-// bitwise float64 kernels unconditionally, so training can never
-// observe these semantics.
+// Single-precision inference kernels: the float32 engine, reachable
+// only through f32 forward tapes (NewForwardF32) — recording tapes
+// dispatch to the bitwise float64 kernels unconditionally, so training
+// can never observe these semantics.
 //
-// Numeric contract, relative to the fast-math float64 tier:
+// Numeric contract, relative to the bitwise float64 kernels:
 //
 //  1. Storage and arithmetic are float32: ~2^-24 unit roundoff instead
-//     of 2^-53. The summation order is the same fixed band/stripe order
-//     as the fast kernels, so results are deterministic across runs and
-//     worker counts for a given host.
-//  2. Multiply-adds round once per step. The pure-Go mirrors fuse
-//     through float64 (the product of two float32s is exact in float64)
-//     and the assembly uses VFMADD231PS; the two can differ in the last
-//     float32 ulp on round-to-nearest ties, so — unlike the f64 tiers —
-//     asm and fallback are held together by ULP bounds
+//     of 2^-53. The GEMMs keep the band-fused blocking and ascending-p
+//     order of kernels.go; the dot products (attention scores, matmulNT)
+//     stripe their accumulation across sixteen lanes in a fixed pattern.
+//     Results are deterministic across runs and worker counts for a
+//     given host.
+//  2. Multiply-adds round once per step, and there are no skip-zero
+//     tests (0*Inf = NaN propagates). The pure-Go mirrors fuse through
+//     float64 (the product of two float32s is exact in float64) and the
+//     assembly uses VFMADD231PS; the two can differ in the last float32
+//     ulp on round-to-nearest ties, so — unlike the f64 kernels — asm
+//     and fallback are held together by ULP bounds
 //     (TestF32KernelsULPBound), not bitwise equality.
 //  3. The transcendentals (expf32/tanhf32/sigmoidf32) are polynomial
 //     approximations accurate to a few float32 ulps, not math.Exp/Tanh
-//     rounded; they are the main reason f32 decode outruns fast-f64.
+//     rounded; they are a large share of the f32 decode speedup.
 //
-// End-to-end accuracy of the tier is governed by the accbudget harness
-// (snowwhite acctest -precision f32, gated >= 99% top-3 agreement in
-// verify.sh), mirroring how the fast-math tier was introduced.
+// End-to-end accuracy of the engine is governed by the accbudget
+// harness (snowwhite acctest, gated >= 99% top-3 agreement in
+// verify.sh).
 
 // fmaf is the float32 fused multiply-add: a*b is exact in float64, so
 // a single float64 add-and-round then one round to float32 matches
@@ -49,8 +51,8 @@ func axpy32(o, bv []float32, s float32) {
 }
 
 // dot32 returns the striped fused float32 dot product of a and b:
-// dotFast's stripe pattern widened to 16 lanes (two 8-float32 vectors),
-// matching dotFMA32's accumulation shape.
+// sixteen accumulator lanes (two 8-float32 vectors), matching
+// dotFMA32's accumulation shape.
 func dot32(a, b []float32) float32 {
 	n := len(a)
 	if useFMA && n >= 2*avxMinC {
@@ -75,8 +77,8 @@ func dot32(a, b []float32) float32 {
 }
 
 // matmul32 computes out += a@b with out [r,c], a [r,k], b [k,c]: the
-// float32 sibling of matmulFast, same band-fused blocking with the
-// 8-lane band kernel.
+// float32 sibling of matmul, same band-fused blocking with the 8-lane
+// fused band kernel.
 func matmul32(out, a, b []float32, r, k, c int) {
 	ib := r - r%blockDim
 	for i := 0; i < ib; i += blockDim {
@@ -127,8 +129,8 @@ func matmul32(out, a, b []float32, r, k, c int) {
 
 // matmulNT32 computes out += a @ b^T with a [r,k], b [c,k], out [r,c].
 // Both operands of every output element are contiguous rows, so unlike
-// matmulNTFast no packed panel is needed: each element is one striped
-// fused dot.
+// matmulNT no packed panel is needed: each element is one striped fused
+// dot.
 func matmulNT32(out, a, b []float32, r, k, c int) {
 	for i := 0; i < r; i++ {
 		ai := a[i*k : (i+1)*k]
@@ -140,7 +142,7 @@ func matmulNT32(out, a, b []float32, r, k, c int) {
 }
 
 // matmulTN32 computes out += a^T @ b with a [k,r], b [k,c], out [r,c]:
-// the float32 sibling of matmulTNFast, same band-fused blocking.
+// the float32 sibling of matmulTN, same band-fused blocking.
 func matmulTN32(out, a, b []float32, r, k, c int) {
 	ib := r - r%blockDim
 	for i := 0; i < ib; i += blockDim {
@@ -188,7 +190,7 @@ func matmulTN32(out, a, b []float32, r, k, c int) {
 }
 
 // attnScores32 fills out [B,T] with scores[b,t] = dec[b] · enc[b,t]:
-// the float32 sibling of attnScoresFast.
+// the float32 sibling of the scalar loop in Tape.AttnScores.
 func attnScores32(out, dec, enc []float32, B, T, H int) {
 	for b := 0; b < B; b++ {
 		db := dec[b*H : (b+1)*H]
@@ -201,8 +203,8 @@ func attnScores32(out, dec, enc []float32, B, T, H int) {
 }
 
 // weightedSum32 fills out [B,H] with ctx[b] = sum_t alpha[b,t] *
-// enc[b,t]: the float32 sibling of weightedSumFast — fused axpy per
-// timestep, no skip-zero test.
+// enc[b,t]: the float32 sibling of the scalar loop in Tape.WeightedSum —
+// fused axpy per timestep, no skip-zero test.
 func weightedSum32(out, alpha, enc []float32, B, T, H int) {
 	for b := 0; b < B; b++ {
 		ob := out[b*H : (b+1)*H : (b+1)*H]
@@ -213,9 +215,9 @@ func weightedSum32(out, alpha, enc []float32, B, T, H int) {
 }
 
 // attnScoresGrouped32 fills out [L,T] with scores[l,t] =
-// dec[l] · enc[groups[l]*T+t]: the float32 sibling of
-// attnScoresGroupedFast, reading each search's shared encoder block in
-// place.
+// dec[l] · enc[groups[l]*T+t]: attnScores32 per row, reading each
+// search's shared encoder block in place, so a grouped f32 decode is
+// bitwise equal to a tiled one.
 func attnScoresGrouped32(out, dec, enc []float32, groups []int, T, H int) {
 	for l, g := range groups {
 		dl := dec[l*H : (l+1)*H]
@@ -228,7 +230,7 @@ func attnScoresGrouped32(out, dec, enc []float32, groups []int, T, H int) {
 }
 
 // weightedSumGrouped32 fills out [L,H] with ctx[l] = sum_t alpha[l,t] *
-// enc[groups[l]*T+t]: the float32 sibling of weightedSumGroupedFast.
+// enc[groups[l]*T+t]: weightedSum32 per row against the shared block.
 func weightedSumGrouped32(out, alpha, enc []float32, groups []int, T, H int) {
 	for l, g := range groups {
 		ob := out[l*H : (l+1)*H : (l+1)*H]

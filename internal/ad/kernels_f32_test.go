@@ -51,8 +51,8 @@ func ulpDiff32(x, y float32) uint32 {
 	return uint32(xb - yb)
 }
 
-// withFMA32 is withFMA for float32 kernels: FMA assembly dispatch on
-// (where the host has it) and forced off. Serial only.
+// withFMA32 runs f twice: with FMA assembly dispatch on (where the host
+// has it) and forced off. Serial only.
 func withFMA32(f func() []float32) (asm, golang []float32) {
 	saved := useFMA
 	defer func() { useFMA = saved }()
@@ -357,10 +357,9 @@ func TestF32Dispatch(t *testing.T) {
 	matmul(exact, a.W, b.W, R, K, C)
 
 	tapes := map[string]*Tape{
-		"NewTape":        NewTape(),
-		"NewTraining":    NewTraining(NewPool()),
-		"NewForward":     NewForward(nil),
-		"NewForwardFast": NewForwardFast(nil),
+		"NewTape":     NewTape(),
+		"NewTraining": NewTraining(NewPool()),
+		"NewForward":  NewForward(nil),
 	}
 	for name, tape := range tapes {
 		if tape.F32() {
@@ -370,14 +369,14 @@ func TestF32Dispatch(t *testing.T) {
 		if len(out.W) != R*C || out.W32 != nil {
 			t.Fatalf("%s MatMul produced f32 storage (len(W)=%d, W32=%v)", name, len(out.W), out.W32 != nil)
 		}
-		if name != "NewForwardFast" && !bitsEqual(out.W, exact) {
+		if !bitsEqual(out.W, exact) {
 			t.Fatalf("%s MatMul diverged from the bitwise kernel", name)
 		}
 	}
 
 	ft := NewForwardF32(NewPool())
-	if !ft.F32() || !ft.FastMath() {
-		t.Fatal("NewForwardF32 must report both F32 and FastMath")
+	if !ft.F32() {
+		t.Fatal("NewForwardF32 must report F32")
 	}
 	out := ft.MatMul(a, b)
 	if len(out.W) != 0 || len(out.W32) != R*C {
@@ -401,6 +400,46 @@ func TestF32Dispatch(t *testing.T) {
 		logits := New(2, 4)
 		NewForwardF32(nil).SoftmaxCrossEntropy(logits, []int{0, 1}, []float64{1, 1})
 	}()
+}
+
+// TestTrainingDispatchBitwise pins the semantic the dispatch must keep
+// for training: the bitwise kernels skip zero multipliers, so a zeroed
+// row of A against an Inf in B contributes nothing, while the f32
+// kernels fuse every multiply-add and materialize IEEE NaN. Recording
+// and f64 forward tapes must all take the skip-zero path.
+func TestTrainingDispatchBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const R, K, C = 8, 64, 48
+	a := New(R, K)
+	b := New(K, C)
+	fillRand(r, a.W, 0)
+	fillRand(r, b.W, 0)
+	for p := 0; p < K; p++ {
+		a.W[p] = 0
+	}
+	b.W[0] = math.Inf(1)
+	exact := make([]float64, R*C)
+	matmul(exact, a.W, b.W, R, K, C)
+
+	tapes := map[string]*Tape{
+		"NewTape":     NewTape(),
+		"NewTraining": NewTraining(NewPool()),
+		"NewForward":  NewForward(nil),
+	}
+	for name, tape := range tapes {
+		out := tape.MatMul(a, b)
+		if !bitsEqual(out.W, exact) {
+			t.Fatalf("%s MatMul diverged from the bitwise kernel", name)
+		}
+		for j := 0; j < C; j++ {
+			if math.IsNaN(out.W[j]) {
+				t.Fatalf("%s MatMul materialized NaN at [0,%d]: skip-zero semantics lost", name, j)
+			}
+		}
+	}
+	if out := NewForwardF32(nil).MatMul(a, b); !math.IsNaN(float64(out.W32[0])) {
+		t.Fatal("f32 MatMul skipped 0×Inf; expected IEEE NaN (no skip-zero contract)")
+	}
 }
 
 // TestF32PoolRecycling pins that f32 values round-trip the pool through
@@ -435,9 +474,8 @@ func TestF32PoolRecycling(t *testing.T) {
 	}
 }
 
-// BenchmarkF32Kernels measures the float32 matmul kernels on the same
-// hot shapes as BenchmarkFastKernels; scripts/bench.sh records both in
-// BENCH_infer.json so the f32-vs-fast-f64 kernel speedup is tracked.
+// BenchmarkF32Kernels measures the float32 matmul kernels on the model's
+// hot shapes; scripts/bench.sh records it in BENCH_infer.json.
 func BenchmarkF32Kernels(b *testing.B) {
 	shapes := []struct {
 		name    string

@@ -51,10 +51,6 @@ func (t *Tape) AttnScoresGrouped(dec, enc *V, groups []int, T int) *V {
 		attnScoresGrouped32(out.W32, f32w(dec), f32w(enc), groups, T, H)
 		return out
 	}
-	if t.FastMath() {
-		attnScoresGroupedFast(out.W, dec.W, enc.W, groups, T, H)
-		return out
-	}
 	for l := 0; l < L; l++ {
 		dl := dec.W[l*H : (l+1)*H]
 		base := groups[l] * T
@@ -152,8 +148,7 @@ func (t *Tape) SoftmaxRowsMaskedGrouped(a *V, mask []float64, groups []int) *V {
 // map, returns ctx [L,H] with ctx[l] = sum_t alpha[l,t] *
 // enc[groups[l]*T+t]. The scalar path keeps WeightedSum's skip on zero
 // weights (masked positions contribute exactly nothing), so each row is
-// bitwise equal to the tiled path; the fast-math path hands each block
-// row to the fused axpy kernel like weightedSumFast.
+// bitwise equal to the tiled path.
 func (t *Tape) WeightedSumGrouped(alpha, enc *V, groups []int, H int) *V {
 	L, T := alpha.R, alpha.C
 	if enc.C != H || T <= 0 || enc.R%T != 0 {
@@ -163,10 +158,6 @@ func (t *Tape) WeightedSumGrouped(alpha, enc *V, groups []int, H int) *V {
 	out := t.new(L, H)
 	if t.f32 && !t.grad {
 		weightedSumGrouped32(out.W32, f32w(alpha), f32w(enc), groups, T, H)
-		return out
-	}
-	if t.FastMath() {
-		weightedSumGroupedFast(out.W, alpha.W, enc.W, groups, T, H)
 		return out
 	}
 	for l := 0; l < L; l++ {

@@ -48,15 +48,15 @@ func groupedAttn(tape *Tape, dec, enc *V, mask []float64, groups []int, T, H int
 
 // TestGroupedAttnMatchesTiled pins the grouped attention chain bitwise
 // to the tiled GatherRowBlocks formulation on both the exact and the
-// fast-math forward paths — the equivalence the batched decoder's
-// bitwise oracle rests on after the tiling removal.
+// f32 forward paths — the equivalence the batched decoder's bitwise
+// oracle rests on after the tiling removal.
 func TestGroupedAttnMatchesTiled(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() *Tape
 	}{
 		{"exact", func() *Tape { return NewForward(NewPool()) }},
-		{"fast", func() *Tape { return NewForwardFast(NewPool()) }},
+		{"f32", func() *Tape { return NewForwardF32(NewPool()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(91))
@@ -162,7 +162,7 @@ func TestGroupedAttnAllocsSteadyState(t *testing.T) {
 		mk   func(*Pool) *Tape
 	}{
 		{"exact", NewForward},
-		{"fast", NewForwardFast},
+		{"f32", NewForwardF32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := NewPool()

@@ -38,12 +38,13 @@ type quantPredictorState struct {
 }
 
 // quantizeTrained converts one Trained into its quantized serialized
-// form.
+// form. A float32-resident model (itself a quantized load) is quantized
+// from its float32 weights.
 func quantizeTrained(tr *Trained, mode quant.Mode) ([]byte, error) {
-	params := tr.Model.Params()
+	params, weights := tr.Model.Params(), tr.Model.Weights()
 	ms := make([]quant.Matrix, len(params))
 	for i, v := range params {
-		m, err := quant.QuantizeMatrix(v.R, v.C, v.W, mode)
+		m, err := quant.QuantizeMatrix(v.R, v.C, weights[i], mode)
 		if err != nil {
 			return nil, fmt.Errorf("tensor %d: %w", i, err)
 		}
@@ -66,24 +67,13 @@ func quantizeTrained(tr *Trained, mode quant.Mode) ([]byte, error) {
 }
 
 // trainedFromQuantized rebuilds a Trained from its quantized form,
-// dequantizing each matrix straight into the model's own parameter
-// storage (seq2seq.NewModelFromFill) — no intermediate [][]float64 that
-// the old path allocated only for modelFromState to copy and discard.
-//
-// precision selects the inference engine the weights land in. "" or
-// "f64" dequantizes into the float64 buffers and enables fast-math
-// inference: quantized weights have already given up bitwise fidelity,
-// so the load is pointed at the inference-only fast kernels and the
-// accuracy-budget harness (internal/accbudget) governs the combined
-// error. "f32" dequantizes into float32 storage directly and drops the
-// never-read float64 weight and gradient buffers, halving the model's
-// resident memory; the model is pinned to the f32 engine.
-func trainedFromQuantized(data []byte, precision string) (*Trained, error) {
-	switch precision {
-	case "", "f64", "f32":
-	default:
-		return nil, fmt.Errorf("core: quantized trained: unknown precision %q (want f64 or f32)", precision)
-	}
+// dequantizing each matrix straight into float32 parameter storage
+// (seq2seq.NewModelFromFill) and dropping the never-read float64 weight
+// and gradient buffers, which halves the model's resident memory.
+// Quantized weights have already given up bitwise fidelity, so the model
+// is pinned to the f32 inference engine and the accuracy-budget harness
+// (internal/accbudget) governs the combined error.
+func trainedFromQuantized(data []byte) (*Trained, error) {
 	var st quantTrainedState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: quantized trained: %w", err)
@@ -92,7 +82,6 @@ func trainedFromQuantized(data []byte, precision string) (*Trained, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: quantized trained: %w", err)
 	}
-	f32 := precision == "f32"
 	fill := func(i int, v *ad.V) error {
 		if i >= len(ms) {
 			return fmt.Errorf("model wants more than the %d stored matrices", len(ms))
@@ -101,12 +90,8 @@ func trainedFromQuantized(data []byte, precision string) (*Trained, error) {
 		if m.Rows*m.Cols != v.Elems() {
 			return fmt.Errorf("stored matrix is %dx%d, model wants %d elements", m.Rows, m.Cols, v.Elems())
 		}
-		if f32 {
-			v.W32 = m.DequantizeF32(v.W32[:0])
-			v.W, v.G = nil, nil
-			return nil
-		}
-		m.Dequantize(v.W)
+		v.W32 = m.DequantizeF32(v.W32[:0])
+		v.W, v.G = nil, nil
 		return nil
 	}
 	model, err := seq2seq.NewModelFromFill(st.Cfg, st.SrcToks, st.TgtToks, fill)
@@ -116,12 +101,8 @@ func trainedFromQuantized(data []byte, precision string) (*Trained, error) {
 	if n := len(model.Params()); n != len(ms) {
 		return nil, fmt.Errorf("core: quantized trained: %d stored matrices, model has %d tensors", len(ms), n)
 	}
-	if f32 {
-		if err := model.SetPrecision("f32"); err != nil {
-			return nil, err
-		}
-	} else {
-		model.SetFastMath(true)
+	if err := model.SetPrecision("f32"); err != nil {
+		return nil, err
 	}
 	tr := &Trained{Task: st.Task, Model: model}
 	if len(st.BPE) > 0 {
@@ -135,7 +116,7 @@ func trainedFromQuantized(data []byte, precision string) (*Trained, error) {
 // ExportQuantized writes a predictor to path in the quantized format:
 // the quantMagic prefix followed by a gob stream whose model weights are
 // quant-encoded in the given mode. Loading the result (LoadQuantized-
-// Predictor or LoadPredictorAuto) yields a fast-math predictor.
+// Predictor or LoadPredictorAuto) yields an f32-engine predictor.
 func ExportQuantized(p *Predictor, path string, mode quant.Mode) error {
 	var st quantPredictorState
 	var err error
@@ -161,18 +142,9 @@ func ExportQuantized(p *Predictor, path string, mode quant.Mode) error {
 }
 
 // LoadQuantizedPredictor reads a predictor written with ExportQuantized.
-// The returned predictor's models run fast-math inference on the
-// dequantized weights; extraction options default to the paper's.
+// The returned predictor's models hold float32 weights and run on the
+// f32 inference engine; extraction options default to the paper's.
 func LoadQuantizedPredictor(path string) (*Predictor, error) {
-	return LoadQuantizedPredictorPrecision(path, "")
-}
-
-// LoadQuantizedPredictorPrecision is LoadQuantizedPredictor with an
-// engine choice: precision "f32" dequantizes straight into float32
-// parameter storage and pins the models to the f32 inference engine,
-// halving the predictor's resident memory; "" or "f64" is the fast-math
-// float64 load.
-func LoadQuantizedPredictorPrecision(path, precision string) (*Predictor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -191,12 +163,12 @@ func LoadQuantizedPredictorPrecision(path, precision string) (*Predictor, error)
 	}
 	p := &Predictor{Opts: DefaultConfig().Extract}
 	if len(st.Param) > 0 {
-		if p.Param, err = trainedFromQuantized(st.Param, precision); err != nil {
+		if p.Param, err = trainedFromQuantized(st.Param); err != nil {
 			return nil, err
 		}
 	}
 	if len(st.Return) > 0 {
-		if p.Return, err = trainedFromQuantized(st.Return, precision); err != nil {
+		if p.Return, err = trainedFromQuantized(st.Return); err != nil {
 			return nil, err
 		}
 	}
@@ -205,7 +177,7 @@ func LoadQuantizedPredictorPrecision(path, precision string) (*Predictor, error)
 
 // LoadPredictorAuto loads either predictor format, detecting quantized
 // files by their magic prefix. Full-precision files behave exactly as
-// LoadPredictor; quantized files come back with fast-math enabled.
+// LoadPredictor; quantized files come back on the f32 engine.
 func LoadPredictorAuto(path string) (*Predictor, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -222,28 +194,19 @@ func LoadPredictorAuto(path string) (*Predictor, error) {
 
 // QuantizePredictor round-trips a predictor's weights through the given
 // quantization mode in memory, returning a new predictor whose models
-// carry the dequantized weights and run fast-math inference. The BPE
-// tokenizers are shared with the input (they are immutable after
-// training). Used by the accuracy-budget harness to compare full and
-// quantized predictions without touching disk.
+// carry the dequantized weights on the f32 engine — the in-memory
+// analogue of LoadQuantizedPredictor. The BPE tokenizers are shared with
+// the input (they are immutable after training). Used by the
+// accuracy-budget harness to compare full and quantized predictions
+// without touching disk.
 func QuantizePredictor(p *Predictor, mode quant.Mode) (*Predictor, error) {
-	return QuantizePredictorPrecision(p, mode, "")
-}
-
-// QuantizePredictorPrecision is QuantizePredictor with an engine
-// choice: precision "f32" lands the round-tripped weights in float32
-// storage on the f32 engine (the in-memory analogue of
-// LoadQuantizedPredictorPrecision), so the accuracy harness can score
-// the f32 engine against the full-precision reference without a
-// quantized file on disk.
-func QuantizePredictorPrecision(p *Predictor, mode quant.Mode, precision string) (*Predictor, error) {
 	out := &Predictor{Opts: p.Opts}
 	quantize := func(tr *Trained) (*Trained, error) {
 		data, err := quantizeTrained(tr, mode)
 		if err != nil {
 			return nil, err
 		}
-		q, err := trainedFromQuantized(data, precision)
+		q, err := trainedFromQuantized(data)
 		if err != nil {
 			return nil, err
 		}

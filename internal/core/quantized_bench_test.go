@@ -25,12 +25,11 @@ func weightBytes(p *Predictor) int64 {
 	return n
 }
 
-// BenchmarkQuantizedLoad measures loading an int8-quantized predictor
-// into each inference engine: f64 dequantizes straight into the model's
-// float64 buffers (fast-math engine), f32 straight into float32 storage
-// (f32 engine). The weight-bytes metric records each engine's resident
-// parameter memory; f32 must come in at a quarter of the f64 figure
-// (half from float32 weights, half again from the dropped gradients).
+// BenchmarkQuantizedLoad measures loading an int8-quantized predictor,
+// which dequantizes straight into float32 storage on the f32 engine.
+// The weight-bytes metric records the resident parameter memory (a
+// quarter of the full-precision model's; see
+// TestQuantizedF32ResidentMemoryHalved).
 func BenchmarkQuantizedLoad(b *testing.B) {
 	d, err := BuildDataset(testConfig(), nil)
 	if err != nil {
@@ -45,27 +44,25 @@ func BenchmarkQuantizedLoad(b *testing.B) {
 	if err := ExportQuantized(p, path, quant.Int8); err != nil {
 		b.Fatal(err)
 	}
-	for _, precision := range []string{"f64", "f32"} {
-		b.Run("precision="+precision, func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				q, err := LoadQuantizedPredictorPrecision(path, precision)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes = weightBytes(q)
+	b.Run("precision=f32", func(b *testing.B) {
+		var bytes int64
+		for i := 0; i < b.N; i++ {
+			q, err := LoadQuantizedPredictor(path)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(bytes), "weight-bytes")
-		})
-	}
+			bytes = weightBytes(q)
+		}
+		b.ReportMetric(float64(bytes), "weight-bytes")
+	})
 }
 
 // TestQuantizedF32ResidentMemoryHalved pins the memory claim exactly.
-// The f32 load halves the weights themselves (float32 vs float64) and
-// additionally drops the gradient buffers the f64 load still carries
-// (ad.New allocates W and G together), so its resident parameter
-// storage is exactly a quarter of the f64 quantized load's: 4 bytes per
-// element against 16.
+// The quantized load halves the weights themselves (float32 vs float64)
+// and additionally drops the gradient buffers a full-precision model
+// carries (ad.New allocates W and G together), so its resident
+// parameter storage is exactly a quarter of the full-precision model's:
+// 4 bytes per element against 16.
 func TestQuantizedF32ResidentMemoryHalved(t *testing.T) {
 	d := buildTestDataset(t)
 	_, tr := d.RunTask(Task{Variant: typelang.VariantLSW}, nil)
@@ -74,15 +71,11 @@ func TestQuantizedF32ResidentMemoryHalved(t *testing.T) {
 	if err := ExportQuantized(p, path, quant.Int8); err != nil {
 		t.Fatal(err)
 	}
-	q64, err := LoadQuantizedPredictorPrecision(path, "f64")
+	q32, err := LoadQuantizedPredictor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q32, err := LoadQuantizedPredictorPrecision(path, "f32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b64, b32 := weightBytes(q64), weightBytes(q32)
+	b64, b32 := weightBytes(p), weightBytes(q32)
 	if b64 == 0 || b32 == 0 {
 		t.Fatalf("empty weight storage: f64=%d f32=%d", b64, b32)
 	}

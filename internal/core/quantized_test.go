@@ -10,10 +10,10 @@ import (
 )
 
 // TestQuantizedExportLoadRoundTrip: exporting a predictor in each
-// quantization mode and loading it back yields a working fast-math
+// quantization mode and loading it back yields a working f32-engine
 // predictor, and the on-disk round trip agrees exactly with the
 // in-memory QuantizePredictor (both decode the same dequantized
-// weights, and fast-math inference is deterministic).
+// weights, and f32 inference is deterministic).
 func TestQuantizedExportLoadRoundTrip(t *testing.T) {
 	d := buildTestDataset(t)
 	_, param := d.RunTask(Task{Variant: typelang.VariantLSW}, nil)
@@ -33,8 +33,8 @@ func TestQuantizedExportLoadRoundTrip(t *testing.T) {
 		if got.Param == nil || got.Return == nil {
 			t.Fatal("loaded quantized predictor missing models")
 		}
-		if !got.Param.Model.FastMath() || !got.Return.Model.FastMath() {
-			t.Errorf("%s: quantized load did not enable fast-math", mode)
+		if got.Param.Model.Precision() != "f32" || got.Return.Model.Precision() != "f32" {
+			t.Errorf("%s: quantized load did not select the f32 engine", mode)
 		}
 		if got.Param.Task != p.Param.Task || got.Return.Task != p.Return.Task {
 			t.Errorf("%s: task metadata lost in round trip", mode)
@@ -78,15 +78,15 @@ func TestLoadPredictorAuto(t *testing.T) {
 	if err != nil {
 		t.Fatalf("auto-load full-precision: %v", err)
 	}
-	if gotFull.Param.Model.FastMath() {
-		t.Error("full-precision auto-load enabled fast-math")
+	if pr := gotFull.Param.Model.Precision(); pr != "f64" {
+		t.Errorf("full-precision auto-load runs at %q, want f64", pr)
 	}
 	gotQuant, err := LoadPredictorAuto(quantized)
 	if err != nil {
 		t.Fatalf("auto-load quantized: %v", err)
 	}
-	if !gotQuant.Param.Model.FastMath() {
-		t.Error("quantized auto-load did not enable fast-math")
+	if pr := gotQuant.Param.Model.Precision(); pr != "f32" {
+		t.Errorf("quantized auto-load runs at %q, want f32", pr)
 	}
 
 	// The quantized loader must refuse the full-precision format.
@@ -98,10 +98,10 @@ func TestLoadPredictorAuto(t *testing.T) {
 	}
 }
 
-// TestQuantizedF32Load: precision "f32" loads dequantize straight into
-// float32 parameter storage — the float64 weight and gradient buffers
-// are dropped, the models are pinned to the f32 engine, and predictions
-// are deterministic and agree between the on-disk and in-memory paths.
+// TestQuantizedF32Load: quantized loads dequantize straight into float32
+// parameter storage — the float64 weight and gradient buffers are
+// dropped, the models are pinned to the f32 engine and cannot be
+// switched back to f64, and predictions are deterministic.
 func TestQuantizedF32Load(t *testing.T) {
 	d := buildTestDataset(t)
 	_, param := d.RunTask(Task{Variant: typelang.VariantLSW}, nil)
@@ -114,16 +114,13 @@ func TestQuantizedF32Load(t *testing.T) {
 		if err := ExportQuantized(p, path, mode); err != nil {
 			t.Fatalf("ExportQuantized(%s): %v", mode, err)
 		}
-		got, err := LoadQuantizedPredictorPrecision(path, "f32")
+		got, err := LoadQuantizedPredictor(path)
 		if err != nil {
-			t.Fatalf("LoadQuantizedPredictorPrecision(%s, f32): %v", mode, err)
+			t.Fatalf("LoadQuantizedPredictor(%s): %v", mode, err)
 		}
 		for _, tr := range []*Trained{got.Param, got.Return} {
 			if pr := tr.Model.Precision(); pr != "f32" {
 				t.Fatalf("%s: model precision = %q, want f32", mode, pr)
-			}
-			if tr.Model.FastMath() {
-				t.Errorf("%s: f32 load also enabled fast-math", mode)
 			}
 			for i, v := range tr.Model.Params() {
 				if v.W != nil || v.G != nil {
@@ -142,21 +139,82 @@ func TestQuantizedF32Load(t *testing.T) {
 		if b := got.Param.Predict(src, 5); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: f32 predictions not deterministic:\n%v\n%v", mode, a, b)
 		}
-		mem, err := QuantizePredictorPrecision(p, mode, "f32")
-		if err != nil {
-			t.Fatalf("QuantizePredictorPrecision(%s, f32): %v", mode, err)
+		// There are no float64 weights to fall back to.
+		if err := got.Param.Model.SetPrecision("f64"); err == nil {
+			t.Errorf("%s: SetPrecision(f64) accepted a float32-resident model", mode)
 		}
-		if b := mem.Param.Predict(src, 5); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: disk and in-memory f32 quantization disagree:\n%v\n%v", mode, a, b)
+	}
+}
+
+// TestQuantizedPredictorWeightsVisible: a float32-resident predictor's
+// weights still reach everything that reads a model's weights. Its
+// fingerprint (the server's cache namespace) changes with them, Save
+// writes them, and it can be quantized again.
+func TestQuantizedPredictorWeightsVisible(t *testing.T) {
+	d := buildTestDataset(t)
+	_, param := d.RunTask(Task{Variant: typelang.VariantLSW}, nil)
+	p := &Predictor{Param: param, Opts: d.Cfg.Extract}
+	src := []string{"i32", "<begin>", "local.get", "<param>", ";", "f64.load", "offset=8"}
+	path := filepath.Join(t.TempDir(), "model.qbin")
+	if err := ExportQuantized(p, path, quant.Int8); err != nil {
+		t.Fatal(err)
+	}
+	load := func() (*Predictor, [32]byte) {
+		t.Helper()
+		q, err := LoadQuantizedPredictor(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := FingerprintPredictor(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, fp
+	}
+
+	q, fp := load()
+	same, fpSame := load()
+	if fp != fpSame {
+		t.Error("two loads of one quantized file have different fingerprints")
+	}
+	same.Param.Model.Params()[0].W32[0] += 0.5
+	if fpChanged, err := FingerprintPredictor(same); err != nil {
+		t.Fatal(err)
+	} else if fpChanged == fp {
+		t.Error("fingerprint of a float32-resident predictor ignores its weights")
+	}
+
+	// Save widens the float32 weights exactly; the file loads back at f64.
+	full := filepath.Join(t.TempDir(), "full.bin")
+	if err := SavePredictor(q, full); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadPredictor(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := q.Param.Model.Params()
+	for i, v := range back.Param.Model.Params() {
+		for j, w := range v.W {
+			if w != float64(want[i].W32[j]) {
+				t.Fatalf("tensor %d[%d]: saved %v, want %v", i, j, w, want[i].W32[j])
+			}
 		}
 	}
 
-	// Unknown precision values are rejected, not silently ignored.
-	path := filepath.Join(t.TempDir(), "model.qbin")
-	if err := ExportQuantized(p, path, quant.F32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadQuantizedPredictorPrecision(path, "f16"); err == nil {
-		t.Error("LoadQuantizedPredictorPrecision accepted precision f16")
+	// Quantizing again works from the float32 weights; f32 mode is the
+	// identity on them, so predictions do not move.
+	for _, mode := range []quant.Mode{quant.F32, quant.Int8} {
+		again, err := QuantizePredictor(q, mode)
+		if err != nil {
+			t.Fatalf("QuantizePredictor(%s) of a quantized predictor: %v", mode, err)
+		}
+		got := again.Param.Predict(src, 5)
+		if len(got) == 0 {
+			t.Fatalf("%s: re-quantized predictor returned no predictions", mode)
+		}
+		if mode == quant.F32 && !reflect.DeepEqual(got, q.Param.Predict(src, 5)) {
+			t.Errorf("f32 re-quantization changed predictions")
+		}
 	}
 }

@@ -115,10 +115,8 @@ type cand struct {
 	beamIdx int // index of the parent beam within its search
 	id      int // continuation token id; -1 for a carried stopped beam
 	logp    float64
-	row     int      // parent's row in the step's batched decoder output
-	state   nn.State // parent's post-step state (sequential decoder only)
+	row     int // parent's row in the step's batched decoder output
 	stopped bool
-	carried bool
 }
 
 // candCmp orders a step's candidates for pruning: total log-prob
@@ -148,7 +146,8 @@ func candCmp(a, b cand) int {
 // (predictMultiOn), so each step runs the band-fused GEMM kernels once
 // for the whole beam instead of a matvec per hypothesis; the output is
 // bitwise identical to decoding each hypothesis alone
-// (TestPredictBatchedMatchesSequential). Inference runs on a
+// (TestPredictBatchedMatchesSequential, against a sequential reference
+// decoder kept in the tests). Inference runs on a
 // forward-only tape whose buffers recycle between decode steps (see
 // ad.NewForward), so a call's memory footprint is bounded by one step's
 // working set rather than the whole maxLen × width search. Predict is
@@ -345,7 +344,7 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 			for bi := range sr.beams {
 				b := &sr.beams[bi]
 				if b.stopped {
-					cands = append(cands, cand{parent: b.node, beamIdx: bi, id: -1, logp: b.logp, stopped: true, carried: true})
+					cands = append(cands, cand{parent: b.node, beamIdx: bi, id: -1, logp: b.logp, stopped: true})
 					continue
 				}
 				anyLive = true
@@ -373,7 +372,7 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 			sr.beams = sr.beams[:0]
 			for _, c := range cands {
 				node := c.parent
-				if !c.carried {
+				if c.id >= 0 { // a carried stopped beam keeps its node
 					node = &beamNode{id: c.id, prev: c.parent}
 				}
 				sr.beams = append(sr.beams, mbeam{node: node, logp: c.logp, row: c.row, stopped: c.stopped})
@@ -400,105 +399,4 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 		out[si] = preds
 	}
 	return out, nil
-}
-
-// predictSequential is the pre-batching decoder, retained as the
-// arithmetic reference: it advances every live hypothesis with its own
-// batch-size-1 decode step. The batched decoder must reproduce it
-// bitwise (TestPredictBatchedMatchesSequential pins tokens and
-// log-probs); BenchmarkPredictSequential measures what batching buys.
-func (m *Model) predictSequential(src []string, k int) []Prediction {
-	pool := m.getPool()
-	defer m.putPool(pool)
-	return m.predictSequentialOn(ad.NewForward(pool), src, k)
-}
-
-// predictSequentialOn runs the sequential beam search on the given tape.
-// The algorithm is byte-for-byte equivalent on recording and forward
-// tapes (TestPredictPooledMatchesReference). Candidate selection shares
-// topContinuations/candLess with the batched decoder, so equal-score
-// orderings agree between the two by construction.
-func (m *Model) predictSequentialOn(tape *ad.Tape, src []string, k int) []Prediction {
-	if k <= 0 {
-		k = 1
-	}
-	width := k
-	if width < 5 {
-		width = 5
-	}
-	ids := m.Src.Encode(truncate(src, m.Cfg.MaxSrcLen))
-	if len(ids) == 0 {
-		ids = []int{UNK}
-	}
-	enc := m.encode(tape, [][]int{ids}, false)
-	// The encoder outputs feed attention at every step: exempt them from
-	// the per-step release cycle.
-	tape.Keep()
-
-	type beam struct {
-		node    *beamNode
-		logp    float64
-		state   nn.State
-		stopped bool
-	}
-	beams := []beam{{node: &beamNode{id: BOS}, state: enc.init}}
-	maxLen := m.Cfg.MaxTgtLen
-	if maxLen <= 0 {
-		maxLen = 16
-	}
-
-	for step := 0; step < maxLen; step++ {
-		var next []cand
-		done := true
-		for bi, b := range beams {
-			if b.stopped {
-				next = append(next, cand{parent: b.node, beamIdx: bi, id: -1, logp: b.logp, state: b.state, stopped: true, carried: true})
-				continue
-			}
-			done = false
-			s, logits := m.decodeStep(tape, enc, b.state, []int{b.node.id}, false)
-			logProbs := tape.LogSoftmaxRow(logits.W)
-			for _, c := range topContinuations(logProbs, width, nil) {
-				next = append(next, cand{
-					parent:  b.node,
-					beamIdx: bi,
-					id:      c.id,
-					logp:    b.logp + c.lp,
-					state:   s,
-					stopped: c.id == EOS,
-				})
-			}
-		}
-		if done {
-			break
-		}
-		slices.SortFunc(next, candCmp)
-		if len(next) > width {
-			next = next[:width]
-		}
-		beams = beams[:0]
-		keep := make([]*ad.V, 0, 2*len(next))
-		for _, c := range next {
-			node := c.parent
-			if !c.carried {
-				node = &beamNode{id: c.id, prev: c.parent}
-			}
-			beams = append(beams, beam{node: node, logp: c.logp, state: c.state, stopped: c.stopped})
-			keep = append(keep, c.state.H, c.state.C)
-		}
-		// Recycle everything this step allocated except the surviving
-		// decoder states; states kept for a stopped or pruned beam are
-		// reclaimed by a later release once dereferenced.
-		tape.ReleaseExcept(keep...)
-	}
-
-	sort.SliceStable(beams, func(i, j int) bool { return beams[i].logp > beams[j].logp })
-	if len(beams) > k {
-		beams = beams[:k]
-	}
-	out := make([]Prediction, 0, len(beams))
-	for _, b := range beams {
-		out = append(out, Prediction{Tokens: m.Tgt.Decode(b.node.tokens()), LogProb: b.logp})
-	}
-	return out
 }

@@ -45,7 +45,7 @@ func EncoderName(kind string) string {
 // produces the `encoded` bundle the attention decoder consumes: the
 // per-example state matrix, its attention mask, and the decoder's
 // initial state. Everything downstream — training loss, beam search,
-// batched decoding, fast-math inference — is architecture-agnostic and
+// batched decoding, f32 inference — is architecture-agnostic and
 // works through this interface.
 type encoder interface {
 	// encode runs the encoder over a PAD-padded [B][T] batch; train

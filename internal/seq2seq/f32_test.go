@@ -9,9 +9,9 @@ import (
 	"repro/internal/ad"
 )
 
-// TestPredictF32Deterministic: the f32 engine is a third numeric
-// contract next to exact and fast-math f64 — different bits, still a
-// function of its inputs. Repeated decodes must agree exactly, the
+// TestPredictF32Deterministic: the f32 engine is a second numeric
+// contract next to exact f64 — different bits, still a function of its
+// inputs. Repeated decodes must agree exactly, the
 // precision switch must be observable, and switching back to f64 must
 // restore the full-precision predictions bit-for-bit.
 func TestPredictF32Deterministic(t *testing.T) {
@@ -76,6 +76,31 @@ func TestSetPrecisionUnknown(t *testing.T) {
 	}
 	if err := m.SetPrecision(""); err != nil {
 		t.Fatalf("SetPrecision(%q) = %v, want default f64", "", err)
+	}
+}
+
+// TestSetPrecisionF64NeedsF64Weights: a model whose parameters live only
+// in float32 (a quantized load) cannot decode at f64. SetPrecision("f64")
+// must refuse instead of leaving Predict to index nil float64 weights,
+// and the model must stay on f32 and keep decoding.
+func TestSetPrecisionF64NeedsF64Weights(t *testing.T) {
+	m, srcs := benchGroup(8)
+	if err := m.SetPrecision("f32"); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range m.params.All() {
+		v.W = nil // float32-resident, like core.LoadQuantizedPredictor
+	}
+	for _, p := range []string{"f64", ""} {
+		if err := m.SetPrecision(p); err == nil {
+			t.Fatalf("SetPrecision(%q) accepted a float32-resident model", p)
+		}
+	}
+	if got := m.Precision(); got != "f32" {
+		t.Fatalf("failed SetPrecision changed precision to %q", got)
+	}
+	if preds := m.PredictBatch(srcs, 3); len(preds) != len(srcs) || len(preds[0]) == 0 {
+		t.Fatal("f32-resident model stopped decoding after a refused SetPrecision")
 	}
 }
 
@@ -196,20 +221,14 @@ func TestTrainingPrecisionIsolated(t *testing.T) {
 	}
 }
 
-// BenchmarkPredictF32 measures the single-precision engine on the exact
-// workload of BenchmarkPredictFastMath, with the committed f64 tiers
-// rerun beside it so the three-way ratio comes from one machine state.
-// The acceptance bar is f32 ≥ 1.25× over fast-f64 at maxLen=16.
+// BenchmarkPredictF32 measures the single-precision engine against the
+// exact f64 decoder on identical batched beam searches, both rerun in
+// one process so the ratio comes from one machine state.
 func BenchmarkPredictF32(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		fast      bool
-		precision string
-	}{{"full", false, "f64"}, {"fast", true, "f64"}, {"f32", false, "f32"}} {
+	for _, mode := range []struct{ name, precision string }{{"full", "f64"}, {"f32", "f32"}} {
 		for _, maxLen := range []int{8, 16} {
 			b.Run(fmt.Sprintf("%s/maxLen=%d", mode.name, maxLen), func(b *testing.B) {
 				m, srcs := benchGroup(maxLen)
-				m.SetFastMath(mode.fast)
 				if err := m.SetPrecision(mode.precision); err != nil {
 					b.Fatal(err)
 				}
@@ -228,5 +247,29 @@ func BenchmarkPredictF32(b *testing.B) {
 				b.ReportMetric(perSearch, "ns/search")
 			})
 		}
+	}
+}
+
+// BenchmarkPredictTransformer measures batched beam decoding behind the
+// Transformer encoder, full-precision and f32, on the same ragged
+// sources as BenchmarkPredict — the decode half of the
+// BiLSTM-vs-Transformer throughput comparison in EXPERIMENTS.md.
+func BenchmarkPredictTransformer(b *testing.B) {
+	for _, mode := range []struct{ name, precision string }{{"full", "f64"}, {"f32", "f32"}} {
+		b.Run(fmt.Sprintf("%s/maxLen=16", mode.name), func(b *testing.B) {
+			m, srcs := benchGroupEncoder(16, EncoderTransformer)
+			if err := m.SetPrecision(mode.precision); err != nil {
+				b.Fatal(err)
+			}
+			m.PredictBatch(srcs, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.PredictBatch(srcs, 5)
+			}
+			b.StopTimer()
+			perSearch := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(srcs))
+			b.ReportMetric(perSearch, "ns/search")
+		})
 	}
 }

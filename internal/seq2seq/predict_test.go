@@ -307,7 +307,7 @@ func TestTopContinuationsTieBreak(t *testing.T) {
 func TestCandTieBreak(t *testing.T) {
 	cands := []cand{
 		{beamIdx: 2, id: 4, logp: -1},
-		{beamIdx: 0, id: -1, logp: -1, carried: true},
+		{beamIdx: 0, id: -1, logp: -1},
 		{beamIdx: 1, id: 9, logp: -1},
 		{beamIdx: 1, id: 5, logp: -1},
 		{beamIdx: 0, id: 3, logp: -0.5},

@@ -18,13 +18,33 @@ type modelState struct {
 	Weights [][]float64
 }
 
-// Save writes the model (config, vocabularies, weights) to w.
+// Save writes the model (config, vocabularies, weights) to w. A
+// float32-resident model (a quantized load) is written with its weights
+// widened to float64 (Weights), so the result loads back as a
+// full-precision model and content hashes over Save cover the weights.
 func (m *Model) Save(w io.Writer) error {
-	st := modelState{Cfg: m.Cfg, SrcToks: m.Src.toks, TgtToks: m.Tgt.toks}
-	for _, v := range m.params.All() {
-		st.Weights = append(st.Weights, v.W)
-	}
+	st := modelState{Cfg: m.Cfg, SrcToks: m.Src.toks, TgtToks: m.Tgt.toks, Weights: m.Weights()}
 	return gob.NewEncoder(w).Encode(st)
+}
+
+// Weights returns the model's weights in registration order as float64.
+// A parameter without float64 storage (float32-resident) is widened from
+// its float32 copy, exactly; the others are returned without copying and
+// must not be mutated.
+func (m *Model) Weights() [][]float64 {
+	params := m.params.All()
+	out := make([][]float64, len(params))
+	for i, v := range params {
+		out[i] = v.W
+		if len(v.W) == 0 && len(v.W32) > 0 {
+			w := make([]float64, len(v.W32))
+			for j, x := range v.W32 {
+				w[j] = float64(x)
+			}
+			out[i] = w
+		}
+	}
+	return out
 }
 
 // Load reads a model previously written with Save.

@@ -55,8 +55,8 @@ func posEncoding(t, dim int) []float64 {
 // transformerEncoder is the alternative architecture behind the encoder
 // interface: an input projection to Hidden plus EncLayers post-norm
 // self-attention layers. Its self-attention reuses the same masked
-// attention ops as the decoder, so it inherits their fast-math forward
-// kernels on inference tapes and their bitwise row independence on
+// attention ops as the decoder, so it inherits their f32 forward
+// kernels on f32 inference tapes and their bitwise row independence on
 // recording tapes.
 type transformerEncoder struct {
 	proj   *nn.Linear

@@ -29,10 +29,9 @@ type cacheKey struct {
 	k     int
 	// engine separates the precision tiers' entries even when their
 	// weights fingerprint identically (an f32 in-memory quantization):
-	// "" is the full-precision engine, "fast" the fused-rounding
-	// fast-math engine, "f32" the single-precision engine. Each tier's
-	// kernels may rank types differently, so a request must never be
-	// answered from another tier's entry.
+	// "" is the model's primary engine, "f32" its single-precision
+	// sibling. Each tier's kernels may rank types differently, so a
+	// request must never be answered from another tier's entry.
 	engine string
 }
 

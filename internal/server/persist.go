@@ -42,11 +42,13 @@ type cacheRecord struct {
 	Fn   string `json:"fn"`
 	Elem string `json:"elem"`
 	K    int    `json:"k"`
-	// Engine is the precision tier that produced the entry ("" full,
-	// "fast", "f32"). Fast is the pre-f32 encoding of the fast tier,
-	// still accepted on read so old logs replay.
+	// Engine is the precision tier that produced the entry ("" primary,
+	// "f32").
 	Engine string `json:"engine,omitempty"`
-	Fast   bool   `json:"fast,omitempty"`
+	// LegacyFast is read only to recognize entries of the removed
+	// fast-math tier in logs written before engine:"fast" existed; replay
+	// drops them and snapshots never write it.
+	LegacyFast bool `json:"fast,omitempty"`
 	// Preds is the cached ranked predictions for the element.
 	Preds []core.TypePrediction `json:"preds"`
 }
@@ -63,11 +65,16 @@ func recordOf(key cacheKey, preds []core.TypePrediction) cacheRecord {
 }
 
 // key converts a record back to its cache key; an error means the record
-// is from a corrupt or foreign line.
+// is from a corrupt or foreign line, or from an engine tier no request
+// can reach (the removed fast-math tier), which replay must drop rather
+// than carry into every later snapshot.
 func (r cacheRecord) key() (cacheKey, error) {
 	var k cacheKey
 	if r.Elem == "" || r.K <= 0 {
 		return k, errors.New("missing elem or k")
+	}
+	if r.LegacyFast || (r.Engine != "" && r.Engine != "f32") {
+		return k, fmt.Errorf("unservable engine tier %q", r.Engine)
 	}
 	if n, err := hex.Decode(k.model[:], []byte(r.Model)); err != nil || n != len(k.model) {
 		return k, fmt.Errorf("bad model hash %q", r.Model)
@@ -76,9 +83,6 @@ func (r cacheRecord) key() (cacheKey, error) {
 		return k, fmt.Errorf("bad function hash %q", r.Fn)
 	}
 	k.elem, k.k, k.engine = r.Elem, r.K, r.Engine
-	if k.engine == "" && r.Fast {
-		k.engine = "fast"
-	}
 	return k, nil
 }
 

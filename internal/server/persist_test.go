@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,12 +17,12 @@ func fillCache(c *lruCache, n int) {
 	for i := 0; i < n; i++ {
 		eng := ""
 		if i%2 == 0 {
-			eng = "fast"
+			eng = "f32"
 		}
 		k := cacheKey{model: [32]byte{0xAA}, fn: [32]byte{byte(i)}, elem: "param0", k: 5, engine: eng}
 		c.put(k, preds(fmt.Sprintf("t%d", i)))
 	}
-	c.get(cacheKey{model: [32]byte{0xAA}, fn: [32]byte{0}, elem: "param0", k: 5, engine: "fast"})
+	c.get(cacheKey{model: [32]byte{0xAA}, fn: [32]byte{0}, elem: "param0", k: 5, engine: "f32"})
 }
 
 // TestCacheSnapshotRoundTripDeterminism: snapshot → load → snapshot must
@@ -117,6 +118,49 @@ func TestCacheLogMissingAndForeign(t *testing.T) {
 	}
 	if loaded != 1 || skipped != 2 {
 		t.Errorf("loaded=%d skipped=%d, want 1 and 2", loaded, skipped)
+	}
+}
+
+// TestCacheLogSkipsLegacyFastEntries: entries of the removed fast-math
+// engine — engine:"fast", or the older fast:true encoding — are
+// unreachable by any request. Replay must drop them, and the compacting
+// snapshot must not carry them forward.
+func TestCacheLogSkipsLegacyFastEntries(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cache.jsonl")
+	full := recordOf(cacheKey{model: [32]byte{1}, fn: [32]byte{2}, elem: "return", k: 3}, preds("full"))
+	f32 := recordOf(cacheKey{model: [32]byte{1}, fn: [32]byte{2}, elem: "return", k: 3, engine: "f32"}, preds("single"))
+	var log bytes.Buffer
+	enc := json.NewEncoder(&log)
+	enc.Encode(full)
+	log.WriteString(`{"model":"` + full.Model + `","fn":"` + full.Fn + `","elem":"return","k":3,"engine":"fast","preds":[{"text":"fast"}]}` + "\n")
+	log.WriteString(`{"model":"` + full.Model + `","fn":"` + full.Fn + `","elem":"param0","k":3,"fast":true,"preds":[{"text":"older fast"}]}` + "\n")
+	enc.Encode(f32)
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newLRUCache(16)
+	loaded, skipped, err := loadCacheFile(path, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded != 2 || skipped != 2 {
+		t.Fatalf("loaded=%d skipped=%d, want 2 and 2", loaded, skipped)
+	}
+	for _, e := range c.entries() {
+		if e.key.engine != "" && e.key.engine != "f32" {
+			t.Errorf("replayed an entry under unservable engine %q", e.key.engine)
+		}
+	}
+
+	snap := filepath.Join(dir, "snap.jsonl")
+	if n, err := snapshotTo(snap, c); err != nil || n != 2 {
+		t.Fatalf("snapshot: n=%d err=%v", n, err)
+	}
+	b, _ := os.ReadFile(snap)
+	if bytes.Contains(b, []byte("fast")) {
+		t.Errorf("snapshot still carries a fast-tier entry:\n%s", b)
 	}
 }
 

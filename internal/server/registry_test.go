@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/quant"
 )
 
 // TestModelRouting registers a second model and checks both path-based
@@ -21,7 +22,7 @@ import (
 func TestModelRouting(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pred, bin := testPredictor(t)
-	if err := s.RegisterModel("alt", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("alt", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +71,7 @@ func TestModelRouting(t *testing.T) {
 func TestModelsAdminAPI(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pred, _ := testPredictor(t)
-	if err := s.RegisterModel("extra", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("extra", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +132,7 @@ func TestHotSwapVersionAndIsolation(t *testing.T) {
 	if first.Version != 1 {
 		t.Fatalf("version = %d, want 1", first.Version)
 	}
-	if err := s.RegisterModel("default", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("default", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := postWasm(t, ts.URL, bin, "func=first")
@@ -149,6 +150,44 @@ func TestHotSwapVersionAndIsolation(t *testing.T) {
 	}
 	if s.met.swaps.Value() != 1 {
 		t.Errorf("swap counter = %d, want 1", s.met.swaps.Value())
+	}
+}
+
+// TestHotSwapQuantizedNewWeights: reloading a quantized file that now
+// holds different weights (same config and vocabularies) must not answer
+// from the previous version's cache entries. Quantized models keep only
+// float32 weights, so this pins that their fingerprint covers those.
+func TestHotSwapQuantizedNewWeights(t *testing.T) {
+	pred, bin := testPredictor(t)
+	path := filepath.Join(t.TempDir(), "model.qbin")
+	if err := core.ExportQuantized(pred, path, quant.Int8); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{})
+	if err := s.LoadModel("q8", ModelSource{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	postWasm(t, ts.URL, bin, "func=first&k=3&model=q8")
+	_, body := postWasm(t, ts.URL, bin, "func=first&k=3&model=q8")
+	if pr := decodeResponse(t, body); pr.CacheHits == 0 {
+		t.Fatal("repeated request did not hit the cache")
+	}
+
+	// Retrain stand-in: perturb one weight and re-export to the same path.
+	q, err := core.LoadQuantizedPredictor(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Param.Model.Params()[0].W32[0] += 0.5
+	if err := core.ExportQuantized(q, path, quant.F32); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	_, body = postWasm(t, ts.URL, bin, "func=first&k=3&model=q8")
+	if pr := decodeResponse(t, body); pr.Version != 2 || pr.CacheHits != 0 {
+		t.Errorf("after reload: version %d with %d cache hits, want version 2 with none", pr.Version, pr.CacheHits)
 	}
 }
 
@@ -184,7 +223,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 	for swap := 0; swap < 5; swap++ {
 		time.Sleep(50 * time.Millisecond)
-		if err := s.RegisterModel("default", pred, nil, nil, ModelSource{}); err != nil {
+		if err := s.RegisterModel("default", pred, nil, ModelSource{}); err != nil {
 			t.Errorf("swap %d: %v", swap, err)
 		}
 	}
@@ -237,7 +276,7 @@ func TestReloadFromDisk(t *testing.T) {
 	}
 
 	// In-memory models (no Path) are skipped, not an error.
-	if err := s.RegisterModel("mem", pred, nil, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("mem", pred, nil, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err = s.Reload()

@@ -75,18 +75,12 @@ type Config struct {
 	// DefaultModel is the registry name given to the predictor passed to
 	// New, and the model /v1/predict routes to (default "default").
 	DefaultModel string
-	// FastPred is an optional second predictor — typically a quantized
-	// fast-math model (core.LoadQuantizedPredictor) — serving requests
-	// that opt in with fast=true. It becomes the default model's fast
-	// sibling, with its own dynamic batchers and cache entries (the two
-	// models' predictions may differ). Nil means fast requests to the
-	// default model are rejected.
-	FastPred *core.Predictor
-	// F32Pred is an optional third predictor pinned to the f32 inference
-	// engine (core.LoadQuantizedPredictorPrecision with precision "f32"),
-	// serving requests that opt in with precision=f32. Like FastPred it
-	// gets its own dynamic batchers and cache entries. Nil means f32
-	// requests to the default model are rejected.
+	// F32Pred is an optional second predictor pinned to the f32 inference
+	// engine (core.LoadQuantizedPredictor), serving requests that opt in
+	// with precision=f32. It becomes the default model's f32 sibling,
+	// with its own dynamic batchers and cache entries (the two engines'
+	// predictions may differ). Nil means f32 requests to the default
+	// model are rejected.
 	F32Pred *core.Predictor
 }
 
@@ -214,10 +208,13 @@ func (sm *serverMetrics) forModel(name string) *modelMetrics {
 
 // engine is one predictor with its dynamic batchers and content
 // fingerprint — the unit the cache namespaces entries by. Each registered
-// model runs a full-precision engine always, plus an optional fast-math
-// engine for requests that opt in.
+// model runs a primary engine always, plus an optional f32 engine for
+// requests that opt in.
 type engine struct {
 	pred *core.Predictor
+	// precision is the arithmetic width the predictor decodes at ("f64"
+	// or "f32", seq2seq.Model.Precision), reported in every response.
+	precision string
 	// fp is the content hash of the predictor (core.FingerprintPredictor):
 	// the cache namespace its predictions live under, stable across
 	// restarts of the same weights.
@@ -253,7 +250,7 @@ func (s *Server) newEngine(pred *core.Predictor) (engine, error) {
 	if err != nil {
 		return engine{}, fmt.Errorf("fingerprint: %w", err)
 	}
-	e := engine{pred: pred, fp: fp}
+	e := engine{pred: pred, fp: fp, precision: predictorPrecision(pred)}
 	if s.cfg.BatchSize > 1 {
 		if pred.Param != nil {
 			e.paramBatch = newBatcher(pred.Param, s.cfg.BatchSize, s.cfg.BatchWait, s.cfg.QueueDepth, s.met.batchSize, s.met.batchWait)
@@ -265,8 +262,17 @@ func (s *Server) newEngine(pred *core.Predictor) (engine, error) {
 	return e, nil
 }
 
+// predictorPrecision reports the arithmetic width a predictor's task
+// models decode at; both models of one predictor share it.
+func predictorPrecision(pred *core.Predictor) string {
+	if pred.Param != nil {
+		return pred.Param.Model.Precision()
+	}
+	return pred.Return.Model.Precision()
+}
+
 // New builds a Server around a loaded predictor — registered under
-// cfg.DefaultModel, with cfg.FastPred as its fast-math sibling — and
+// cfg.DefaultModel, with cfg.F32Pred as its f32 sibling — and
 // starts the worker pool. Further models can be added with RegisterModel
 // or LoadModel. Callers must eventually call Shutdown (or Close) to stop
 // the workers.
@@ -305,7 +311,7 @@ func NewWithSource(pred *core.Predictor, cfg Config, src ModelSource) (*Server, 
 			return nil, err
 		}
 	}
-	if err := s.RegisterModel(cfg.DefaultModel, pred, cfg.FastPred, cfg.F32Pred, src); err != nil {
+	if err := s.RegisterModel(cfg.DefaultModel, pred, cfg.F32Pred, src); err != nil {
 		s.clog.close()
 		return nil, err
 	}
@@ -425,7 +431,7 @@ func (s *Server) runQueries(ctx context.Context, tr *core.Trained, b *batcher, q
 // then decode all misses together (through the engine's dynamic batcher
 // when enabled, where they coalesce with other requests' queries into
 // one batched beam decode). Cache keys carry the engine's content
-// fingerprint plus the engine tier ("" full, "fast", "f32"), so models,
+// fingerprint plus the engine tier ("" primary, "f32"), so models,
 // versions, and precision modes never answer from each other's entries.
 func (s *Server) predictFunc(ctx context.Context, pm *modelMetrics, e *engine, tier string, m *wasm.Module, funcIdx, k int) (map[string][]core.TypePrediction, int, error) {
 	sig, err := m.FuncTypeAt(uint32(funcIdx + m.NumImportedFuncs()))

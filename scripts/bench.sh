@@ -8,17 +8,14 @@
 #   BENCH_predict.json  BenchmarkPredict{,Sequential,Batched},
 #                       BenchmarkEvalThroughput,
 #                       BenchmarkServerPredictConcurrent
-#   BENCH_infer.json    BenchmarkFastKernels (exact vs fast-math
-#                       NN/NT/TN), BenchmarkF32Kernels (f32 asm vs
-#                       pure-Go), BenchmarkPredictFastMath (end-to-end
-#                       full vs fast-math beam decode),
-#                       BenchmarkPredictF32 (full vs fast vs f32 decode),
+#   BENCH_infer.json    BenchmarkF32Kernels (f32 NN/NT/TN kernels),
+#                       BenchmarkPredictF32 (end-to-end full vs f32
+#                       beam decode),
 #                       BenchmarkPredictSharedAttn (shared-encoder
 #                       attention working set across beam widths),
 #                       BenchmarkPredictTransformer (decode behind the
 #                       Transformer encoder), BenchmarkQuantizedLoad
-#                       (quantized-load latency + resident weight bytes
-#                       per engine)
+#                       (quantized-load latency + resident weight bytes)
 #   BENCH_encoders.md   BiLSTM vs Transformer trained with identical
 #                       flags/seed/budget: wall-clock training time and
 #                       external-eval accuracy (the EXPERIMENTS.md
@@ -117,11 +114,11 @@ start_serve # warm start replays it
 	-merge-into BENCH_predict.json >/dev/null
 stop_serve
 
-echo "== inference fast-math + f32 + shared-attention benchmarks (BENCH_infer.json) =="
+echo "== inference f32 + shared-attention benchmarks (BENCH_infer.json) =="
 {
-	go test -run '^$' -bench 'BenchmarkFastKernels|BenchmarkF32Kernels' ./internal/ad
+	go test -run '^$' -bench 'BenchmarkF32Kernels' ./internal/ad
 	go test -run '^$' \
-		-bench 'BenchmarkPredictFastMath|BenchmarkPredictF32|BenchmarkPredictSharedAttn|BenchmarkPredictTransformer' \
+		-bench 'BenchmarkPredictF32|BenchmarkPredictSharedAttn|BenchmarkPredictTransformer' \
 		-timeout 30m ./internal/seq2seq
 	go test -run '^$' -bench 'BenchmarkQuantizedLoad' -timeout 30m ./internal/core
 } | tee /dev/stderr | to_json >BENCH_infer.json
