@@ -21,13 +21,17 @@
 // re-launched with the same flags, resumes from it instead of starting
 // over; the file is removed once the model is saved.
 //
-//	snowwhite predict {-model model.bin | -packages N} -file prog.c
+//	snowwhite predict {-model model.bin | -packages N} -file {prog.c | bin.wasm} [-func NAME] [-k N]
 //	snowwhite ingest  {-model model.bin | -packages N} {-file bin.wasm | -dir DIR} [-eval] [-k N] [-j N] [-precision f64|f32] [-out report.json]
 //	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-batch N] [-batch-wait D] [-f32] [-f32-model model.qbin] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
 //	snowwhite bench-serve -addr host:port -file bin.wasm [-qps N] [-duration D] [-sweep "10,50,100"] [-out BENCH_predict.json]
 //	snowwhite export  -model model.bin -out model.qbin [-quantize int8|f32]
 //	snowwhite acctest {-model model.bin | -packages N} -dir DIR [-quantize int8|f32] [-cand-model model.qbin] [-k N] [-budget 0.99]
 //	snowwhite table1                                      Table 1
+//
+// `snowwhite predict` compiles a C file (or takes a .wasm binary) and
+// prints the ingest report of its functions — every one, or the one -func
+// names.
 //
 // `snowwhite ingest` accepts arbitrary MVP wasm binaries — unknown and
 // custom sections are skipped with per-section diagnostics, malformed
@@ -39,6 +43,11 @@
 // gains per-element truth ranks plus an accuracy summary. -dir walks a
 // directory through a bounded worker pool; output is byte-identical at
 // any -j.
+//
+// `snowwhite predict`, `serve` and `acctest` load binaries the way ingest
+// does (ingest.Load), so they accept the same inputs and agree on
+// function names and signature elements. Only the ingest report (which
+// predict prints) reads DWARF; serve and acctest never do.
 //
 // `snowwhite serve` coalesces concurrent prediction queries into batched
 // beam decodes: up to -batch queries (default 8) share one decoder GEMM
@@ -92,7 +101,6 @@ import (
 	"path/filepath"
 	"runtime"
 	rpprof "runtime/pprof"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -106,7 +114,6 @@ import (
 	"repro/internal/seq2seq"
 	"repro/internal/server"
 	"repro/internal/typelang"
-	"repro/internal/wasm"
 )
 
 func main() {
@@ -392,7 +399,7 @@ func runPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
 	opts := commonFlags(fs)
 	file := fs.String("file", "", "C source file to compile and analyze (or .wasm binary)")
-	funcName := fs.String("func", "", "function name (default: all exported)")
+	funcName := fs.String("func", "", "report only the function with this name (default: every function)")
 	topK := fs.Int("k", 5, "number of predictions per element")
 	modelPath := fs.String("model", "", "load a saved predictor instead of training one")
 	fs.Parse(args)
@@ -418,36 +425,28 @@ func runPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	// Decode once and strip the DWARF: prediction must run on the module a
-	// reverse engineer sees, not on a re-decode of the original bytes.
-	m, err := core.DecodeStripped(bin)
+	rep := (&ingest.Ingester{Pred: p, K: *topK}).Binary(filepath.Base(*file), bin)
+	if rep.Error != "" {
+		return errors.New(rep.Error)
+	}
+	if *funcName != "" {
+		var keep []ingest.FunctionReport
+		for _, fr := range rep.Funcs {
+			if fr.Name == *funcName {
+				keep = append(keep, fr)
+			}
+		}
+		if keep == nil {
+			return fmt.Errorf("predict: no function named %q", *funcName)
+		}
+		rep.Funcs = keep
+	}
+	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	for fi := range m.Funcs {
-		name := exportName(m, fi)
-		if *funcName != "" && name != *funcName {
-			continue
-		}
-		fmt.Printf("\nfunction %s:\n", name)
-		preds, err := p.PredictModule(m, fi, *topK)
-		if err != nil {
-			return err
-		}
-		keys := make([]string, 0, len(preds))
-		for k := range preds {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("  %s:\n", k)
-			for i, tp := range preds[k] {
-				fmt.Printf("    %d. %s\n", i+1, tp.Text)
-			}
-		}
-	}
-	return nil
+	_, err = os.Stdout.Write(append(buf, '\n'))
+	return err
 }
 
 // runIngest produces structured prediction reports for real-world wasm
@@ -742,7 +741,7 @@ func runAcctest(args []string) error {
 		return err
 	}
 	for _, name := range skipped {
-		logLine("skipped undecodable binary " + name)
+		logLine("skipped binary with an unusable header " + name)
 	}
 	if len(queries) == 0 {
 		return fmt.Errorf("acctest: no queries extracted from %s", *dir)
@@ -771,16 +770,6 @@ func runAcctest(args []string) error {
 	}
 	logLine(fmt.Sprintf("accuracy budget passed (>= %.4f)", *budget))
 	return nil
-}
-
-func exportName(m *wasm.Module, funcIdx int) string {
-	abs := uint32(funcIdx + m.NumImportedFuncs())
-	for _, e := range m.Exports {
-		if e.Kind == wasm.KindFunc && e.Index == abs {
-			return e.Name
-		}
-	}
-	return fmt.Sprintf("func[%d]", funcIdx)
 }
 
 func logLine(s string) { fmt.Fprintln(os.Stderr, "[snowwhite]", s) }

@@ -15,8 +15,8 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/dwarf"
+	"repro/internal/ingest"
 	"repro/internal/typelang"
-	"repro/internal/wasm"
 )
 
 // thirdPartyModule simulates the vendor's (unseen) source code. The
@@ -72,14 +72,14 @@ func main() {
 		log.Fatal(err)
 	}
 	stripped := obj.Binary
-	dec, err := wasm.Decode(stripped)
+	if _, err := dwarf.Extract(obj.Module); err == nil {
+		log.Fatal("binary unexpectedly has debug info")
+	}
+	ld, err := ingest.Load(stripped)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := dwarf.Extract(dec.Module); err == nil {
-		log.Fatal("binary unexpectedly has debug info")
-	}
-	fmt.Printf("received stripped module: %d bytes, %d functions\n\n", len(stripped), len(dec.Module.Funcs))
+	fmt.Printf("received stripped module: %d bytes, %d functions\n\n", len(stripped), len(ld.Funcs))
 
 	// Train parameter and return models.
 	cfg := core.DefaultConfig()
@@ -97,9 +97,9 @@ func main() {
 	p := &core.Predictor{Param: paramModel, Return: retModel, Opts: cfg.Extract}
 
 	fmt.Println("=== Recovered signatures (top prediction, with alternatives) ===")
-	m := dec.Module
-	for fi := range m.Funcs {
-		name := exportName(m, fi)
+	m := ld.Decoded.Module
+	for fi, fn := range ld.Funcs {
+		name := fn.Name
 		sig, err := m.FuncTypeAt(uint32(fi + m.NumImportedFuncs()))
 		if err != nil {
 			log.Fatal(err)
@@ -135,14 +135,4 @@ func top(preds []core.TypePrediction) string {
 		return "unknown"
 	}
 	return preds[0].Text
-}
-
-func exportName(m *wasm.Module, funcIdx int) string {
-	abs := uint32(funcIdx + m.NumImportedFuncs())
-	for _, e := range m.Exports {
-		if e.Kind == wasm.KindFunc && e.Index == abs {
-			return e.Name
-		}
-	}
-	return fmt.Sprintf("func[%d]", funcIdx)
 }

@@ -11,7 +11,6 @@
 package accbudget
 
 import (
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 )
 
 // Kind says which task model answers a query.
@@ -43,8 +43,10 @@ type Query struct {
 // QueriesFromDir extracts one query per predictable signature element
 // from every .wasm binary under root, using the predictor's extraction
 // options so candidates see exactly the inputs production prediction
-// builds. Binaries that fail strict decoding are skipped (their names
-// are returned for reporting); extraction runs on stripped modules.
+// builds. Binaries load through ingest.Load, so the query set covers the
+// elements `snowwhite ingest -eval` reports on; only a binary whose
+// header is unusable is skipped (its name is returned for reporting).
+// Extraction runs on the stripped module.
 func QueriesFromDir(p *core.Predictor, root string) (queries []Query, skipped []string, err error) {
 	var paths []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -70,36 +72,24 @@ func QueriesFromDir(p *core.Predictor, root string) (queries []Query, skipped []
 		if rerr != nil {
 			return nil, nil, rerr
 		}
-		m, rerr := core.DecodeStripped(data)
+		ld, rerr := ingest.Load(data)
 		if rerr != nil {
 			skipped = append(skipped, name)
 			continue
 		}
-		for fi := range m.Funcs {
-			fn := &m.Funcs[fi]
-			if int(fn.TypeIdx) >= len(m.Types) {
-				continue
-			}
-			sig := m.Types[fn.TypeIdx]
-			if p.Param != nil {
-				for pi := range sig.Params {
-					src, perr := p.ParamInput(m, fi, pi)
-					if perr != nil {
-						continue
-					}
-					queries = append(queries, Query{
-						Binary: name, Func: fi, Elem: fmt.Sprintf("param%d", pi),
-						Kind: Param, Src: src,
-					})
-				}
-			}
-			if p.Return != nil && len(sig.Results) == 1 {
-				src, rerr := p.ReturnInput(m, fi)
-				if rerr != nil {
+		m := ld.Decoded.Module
+		for _, fn := range ld.Funcs {
+			for _, el := range fn.Elements {
+				if p.ModelFor(el) == nil {
 					continue
 				}
+				kind := Param
+				if el.IsReturn() {
+					kind = Return
+				}
 				queries = append(queries, Query{
-					Binary: name, Func: fi, Elem: "return", Kind: Return, Src: src,
+					Binary: name, Func: fn.Index, Elem: el.Name,
+					Kind: kind, Src: p.Input(m, fn.Index, el),
 				})
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/quant"
 )
 
@@ -40,7 +41,24 @@ func TestHarnessEndToEnd(t *testing.T) {
 	if len(queries) == 0 {
 		t.Fatal("no queries extracted from evaluation binaries")
 	}
-	t.Logf("%d queries extracted, %d binaries skipped", len(queries), len(skipped))
+	if len(skipped) != 0 {
+		t.Errorf("skipped %v: acctest must score every binary ingest reports on", skipped)
+	}
+	// The query set is the element set `snowwhite ingest -eval` reports.
+	dir, err := (&ingest.Ingester{}).Dir("../ingest/testdata", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems := 0
+	for _, b := range dir.Binaries {
+		for _, f := range b.Funcs {
+			elems += len(f.Elements)
+		}
+	}
+	if len(queries) != elems {
+		t.Errorf("%d queries, want the %d elements an ingest report lists", len(queries), elems)
+	}
+	t.Logf("%d queries extracted", len(queries))
 	var params, returns int
 	for _, q := range queries {
 		switch q.Kind {

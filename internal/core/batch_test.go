@@ -9,6 +9,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/dwarf"
 	"repro/internal/seq2seq"
+	"repro/internal/wasm"
 )
 
 // syntheticTrained builds an untrained Trained artifact with a real BPE
@@ -81,9 +82,9 @@ func TestPredictTypedMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestInputAccessors checks the extraction accessors the batcher uses:
-// they produce the exact sequences PredictParam/PredictReturn feed the
-// models, and reject the same invalid indices.
+// TestInputAccessors checks the index-checked extraction accessors: they
+// produce the sequences Input builds for the same elements, and reject
+// invalid indices.
 func TestInputAccessors(t *testing.T) {
 	obj, err := cc.Compile(`
 double scale(double *xs, int n) {
@@ -116,5 +117,44 @@ double scale(double *xs, int n) {
 	}
 	if _, err := p.ReturnInput(obj.Module, 99); err == nil {
 		t.Error("bad function index accepted")
+	}
+	els := Elements(obj.Module, 0)
+	if len(els) != 3 {
+		t.Fatalf("elements = %+v, want param0, param1, return", els)
+	}
+	if got := p.Input(obj.Module, 0, els[0]); !reflect.DeepEqual(got, in) {
+		t.Errorf("Input(param0) = %v, ParamInput = %v", got, in)
+	}
+	if got := p.Input(obj.Module, 0, els[2]); !reflect.DeepEqual(got, rin) {
+		t.Errorf("Input(return) = %v, ReturnInput = %v", got, rin)
+	}
+}
+
+// TestElements pins the element list every whole-function prediction path
+// loops over: parameters in order, then the return value iff there is
+// exactly one result, and nothing for an out-of-range type index.
+func TestElements(t *testing.T) {
+	m := &wasm.Module{
+		Types: []wasm.FuncType{
+			{Params: []wasm.ValType{wasm.I32, wasm.F64}, Results: []wasm.ValType{wasm.F32}},
+			{Params: []wasm.ValType{wasm.I64}},
+			{Results: []wasm.ValType{wasm.I32, wasm.I32}},
+		},
+		Funcs: []wasm.Function{{TypeIdx: 0}, {TypeIdx: 1}, {TypeIdx: 2}, {TypeIdx: 7}},
+	}
+	want := [][]Element{
+		{{"param0", 0, wasm.I32}, {"param1", 1, wasm.F64}, {"return", -1, wasm.F32}},
+		{{"param0", 0, wasm.I64}},
+		{},
+		nil,
+	}
+	for fi, w := range want {
+		got := Elements(m, fi)
+		if len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
+			t.Errorf("func %d: elements = %+v, want %+v", fi, got, w)
+		}
+	}
+	if !Elements(m, 0)[2].IsReturn() || Elements(m, 0)[1].IsReturn() {
+		t.Error("IsReturn misclassifies elements")
 	}
 }

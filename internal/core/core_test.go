@@ -175,9 +175,6 @@ double first(double *xs, int n) {
 	if _, err := p.PredictBinary(bin, 99, 5); err == nil {
 		t.Error("bad function index accepted")
 	}
-	if _, err := p.PredictParam(obj.Module, 0, 9, 5); err == nil {
-		t.Error("bad param index accepted")
-	}
 
 	// Formatting.
 	table5 := FormatTable5([]*TaskResult{res, retRes})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dwarf"
 	"repro/internal/extract"
@@ -21,11 +22,65 @@ type TypePrediction struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
+// Element is one predictable signature element of a module-defined
+// function: a parameter or the return value.
+type Element struct {
+	// Name is "param0".."paramN" or "return".
+	Name string
+	// Param is the parameter's index, or -1 for the return value.
+	Param int
+	// Low is the element's low-level wasm type.
+	Low wasm.ValType
+}
+
+// IsReturn reports whether the element is the function's return value.
+func (e Element) IsReturn() bool { return e.Param < 0 }
+
+// Elements lists the predictable signature elements of a module-defined
+// function: its parameters in order, then its return value iff it has
+// exactly one result. A function whose type index is out of range (a
+// tolerantly decoded module can frame one) has none. Every path that
+// predicts whole functions loops over this list, so they agree on which
+// elements exist and what they are called.
+func Elements(m *wasm.Module, funcIdx int) []Element {
+	fn := &m.Funcs[funcIdx]
+	if int(fn.TypeIdx) >= len(m.Types) {
+		return nil
+	}
+	sig := m.Types[fn.TypeIdx]
+	els := make([]Element, 0, len(sig.Params)+1)
+	for pi, low := range sig.Params {
+		els = append(els, Element{Name: "param" + strconv.Itoa(pi), Param: pi, Low: low})
+	}
+	if len(sig.Results) == 1 {
+		els = append(els, Element{Name: "return", Param: -1, Low: sig.Results[0]})
+	}
+	return els
+}
+
+// ModelFor returns the task model that answers an element: Param for
+// parameters, Return for the return value; nil when the predictor has
+// no such model.
+func (p *Predictor) ModelFor(el Element) *Trained {
+	if el.IsReturn() {
+		return p.Return
+	}
+	return p.Param
+}
+
+// Input extracts the model input sequence for one element (from
+// Elements) of a module-defined function.
+func (p *Predictor) Input(m *wasm.Module, funcIdx int, el Element) []string {
+	fn := &m.Funcs[funcIdx]
+	if el.IsReturn() {
+		return extract.InputForReturn(fn, el.Low, p.Opts)
+	}
+	return extract.InputForParam(fn, el.Param, el.Low, p.Opts)
+}
+
 // ParamInput extracts the model input sequence for one parameter of a
 // module-defined function — the data-flow slice plus low-level type that
-// PredictParam feeds the parameter model. Callers that batch queries
-// (the serving layer's dynamic batcher) extract inputs first, coalesce
-// them, and decode through Trained.PredictTyped.
+// the parameter model reads — after checking both indices.
 func (p *Predictor) ParamInput(m *wasm.Module, funcIdx, paramIdx int) ([]string, error) {
 	if funcIdx < 0 || funcIdx >= len(m.Funcs) {
 		return nil, fmt.Errorf("core: function index %d out of range", funcIdx)
@@ -42,8 +97,7 @@ func (p *Predictor) ParamInput(m *wasm.Module, funcIdx, paramIdx int) ([]string,
 }
 
 // ReturnInput extracts the model input sequence for a module-defined
-// function's return value (the batched counterpart of PredictReturn's
-// extraction step).
+// function's return value after checking the function index.
 func (p *Predictor) ReturnInput(m *wasm.Module, funcIdx int) ([]string, error) {
 	if funcIdx < 0 || funcIdx >= len(m.Funcs) {
 		return nil, fmt.Errorf("core: function index %d out of range", funcIdx)
@@ -59,36 +113,11 @@ func (p *Predictor) ReturnInput(m *wasm.Module, funcIdx int) ([]string, error) {
 	return extract.InputForReturn(fn, sig.Results[0], p.Opts), nil
 }
 
-// PredictParam predicts the high-level type of one parameter of a
-// module-defined function in a (possibly stripped) binary.
-func (p *Predictor) PredictParam(m *wasm.Module, funcIdx, paramIdx, k int) ([]TypePrediction, error) {
-	if p.Param == nil {
-		return nil, fmt.Errorf("core: predictor has no parameter model")
-	}
-	input, err := p.ParamInput(m, funcIdx, paramIdx)
-	if err != nil {
-		return nil, err
-	}
-	return p.Param.PredictTyped([][]string{input}, []int{k})[0], nil
-}
-
-// PredictReturn predicts the high-level return type of a module-defined
-// function.
-func (p *Predictor) PredictReturn(m *wasm.Module, funcIdx, k int) ([]TypePrediction, error) {
-	if p.Return == nil {
-		return nil, fmt.Errorf("core: predictor has no return model")
-	}
-	input, err := p.ReturnInput(m, funcIdx)
-	if err != nil {
-		return nil, err
-	}
-	return p.Return.PredictTyped([][]string{input}, []int{k})[0], nil
-}
-
-// DecodeStripped decodes a wasm binary and strips its DWARF custom
-// sections, yielding the module exactly as a reverse engineer (or the
-// prediction server) sees it: code only, no ground truth. All prediction
-// entry points that start from raw bytes share this helper.
+// DecodeStripped strictly decodes a wasm binary and strips its DWARF
+// custom sections, yielding the module a reverse engineer sees: code
+// only, no ground truth. It is the in-process library path behind
+// PredictBinary; the ingest, serve, acctest and predict commands load
+// binaries tolerantly through ingest.Load instead.
 func DecodeStripped(bin []byte) (*wasm.Module, error) {
 	d, err := wasm.Decode(bin)
 	if err != nil {
@@ -109,33 +138,19 @@ func (p *Predictor) PredictBinary(bin []byte, funcIdx, k int) (map[string][]Type
 	return p.PredictModule(m, funcIdx, k)
 }
 
-// PredictModule predicts all parameter and return types of one
+// PredictModule predicts every element (see Elements) of one
 // module-defined function of an already-decoded (and typically stripped)
-// module. Callers that decode once and query many functions — the predict
-// CLI, the serving layer — use this to avoid re-decoding per query and to
-// guarantee predictions run on the module they inspected.
+// module, keyed by element name. Elements whose task model the predictor
+// lacks are left out.
 func (p *Predictor) PredictModule(m *wasm.Module, funcIdx, k int) (map[string][]TypePrediction, error) {
 	if funcIdx < 0 || funcIdx >= len(m.Funcs) {
 		return nil, fmt.Errorf("core: function index %d out of range", funcIdx)
 	}
-	sig, err := m.FuncTypeAt(uint32(funcIdx + m.NumImportedFuncs()))
-	if err != nil {
-		return nil, err
-	}
 	out := map[string][]TypePrediction{}
-	for pi := range sig.Params {
-		preds, err := p.PredictParam(m, funcIdx, pi, k)
-		if err != nil {
-			return nil, err
+	for _, el := range Elements(m, funcIdx) {
+		if tr := p.ModelFor(el); tr != nil {
+			out[el.Name] = tr.PredictTyped([][]string{p.Input(m, funcIdx, el)}, []int{k})[0]
 		}
-		out[fmt.Sprintf("param%d", pi)] = preds
-	}
-	if len(sig.Results) > 0 && p.Return != nil {
-		preds, err := p.PredictReturn(m, funcIdx, k)
-		if err != nil {
-			return nil, err
-		}
-		out["return"] = preds
 	}
 	return out, nil
 }

@@ -66,12 +66,12 @@ long touch(long *p) { if (p != 0) { return *p; } return 0; }
 		if err != nil {
 			t.Fatalf("Binary accepted what Load rejects: %v", err)
 		}
-		if len(ld.Names) != len(ld.Decoded.Module.Funcs) {
-			t.Fatalf("%d names for %d functions", len(ld.Names), len(ld.Decoded.Module.Funcs))
+		if len(ld.Funcs) != len(ld.Decoded.Module.Funcs) {
+			t.Fatalf("%d contexts for %d functions", len(ld.Funcs), len(ld.Decoded.Module.Funcs))
 		}
-		for i, rn := range ld.Names {
-			if rn.Name == "" || rn.Source == "" {
-				t.Fatalf("function %d: unresolved name %+v", i, rn)
+		for i, fn := range ld.Funcs {
+			if fn.Index != i || fn.Name == "" || fn.Source == "" {
+				t.Fatalf("function %d: misaligned or unresolved context %+v", i, fn)
 			}
 		}
 	})

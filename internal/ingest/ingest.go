@@ -1,23 +1,22 @@
 // Package ingest is the front door for real-world WebAssembly binaries:
 // modules the corpus generator never emitted, carrying producer metadata,
 // custom sections, partial name information, and occasionally embedded
-// DWARF. It layers a tolerant loading policy over internal/wasm, resolves
-// the best available function names with explicit provenance, predicts
-// parameter and return types for every module-defined function through
-// the trained models' batched decoder, and — when DWARF is present — runs
-// an external evaluation: DWARF becomes ground truth, the binary is
-// stripped, and the predictions are scored against labels the training
-// corpus never saw.
+// DWARF. It layers a tolerant loading policy over internal/wasm (Load,
+// the one binary front end that serve, acctest and predict share too),
+// resolves the best available function names with explicit provenance,
+// predicts parameter and return types for every module-defined function
+// through the trained models' batched decoder, and — when DWARF is
+// present — runs an external evaluation: DWARF becomes ground truth, the
+// binary is stripped, and the predictions are scored against labels the
+// training corpus never saw.
 package ingest
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dwarf"
-	"repro/internal/extract"
 	"repro/internal/metrics"
 	"repro/internal/seq2seq"
 	"repro/internal/typelang"
@@ -27,64 +26,117 @@ import (
 // Schema identifies the report format; bump on breaking changes.
 const Schema = "snowwhite.ingest/v1"
 
-// Loaded is a tolerantly decoded binary plus everything ingestion derives
-// from it before prediction: section diagnostics, the DWARF tree when one
-// is readable, the subprogram match per function, and resolved names.
+// Loaded is the per-binary context every front end works from: the
+// tolerantly decoded module with its DWARF sections stripped, the section
+// diagnostics, and one Func context per module-defined function. The
+// ingest report, the server, acctest and predict all start here.
 type Loaded struct {
+	// Decoded is the module as a reverse engineer sees it: code, names
+	// and exports, but no DWARF.
 	Decoded *wasm.Decoded
 	Diags   []wasm.SectionDiag
-	// CU is the DWARF compile unit, nil when the binary embeds no
-	// (readable) debug info.
-	CU *dwarf.DIE
-	// DwarfErr explains a nil CU when DWARF sections were present but
-	// unreadable; nil when DWARF is simply absent.
-	DwarfErr error
-	// Subs maps defined-function index (into Module.Funcs) to its
-	// DW_TAG_subprogram DIE, matched by DW_AT_low_pc == code offset.
-	Subs map[int]*dwarf.DIE
-	// Names holds one resolved name per defined function, provenance
-	// included.
-	Names []ResolvedName
+	// Funcs holds one context per defined function, in definition order.
+	Funcs []Func
+	// debug holds the DWARF sections Load stripped, unparsed; nil when
+	// the binary embeds no .debug_info. debugErr says why the sections
+	// could not be extracted. Only the report path parses them.
+	debug    *dwarf.Sections
+	debugErr error
 }
 
-// Load tolerantly decodes a binary and resolves DWARF matches and
-// function names. Only an unusable header fails; everything else degrades
-// into diagnostics.
+// Func is the context of one module-defined function.
+type Func struct {
+	// Index is the defined-function index (into Module.Funcs).
+	Index int
+	// ResolvedName is the function's name and its provenance. Load never
+	// reads DWARF, so the DWARF rung only appears in reports.
+	ResolvedName
+	// Elements are the predictable signature elements; nil when the type
+	// section did not deliver the function's type.
+	Elements []core.Element
+}
+
+// Load tolerantly decodes a binary, strips its DWARF sections (keeping
+// their bytes for the report path) and builds the per-function contexts.
+// Only an unusable header fails; everything else degrades into
+// diagnostics.
 func Load(data []byte) (*Loaded, error) {
 	tol, err := wasm.DecodeTolerant(data)
 	if err != nil {
 		return nil, err
 	}
-	ld := &Loaded{
-		Decoded: tol.Decoded,
-		Diags:   tol.Diags,
-		Subs:    map[int]*dwarf.DIE{},
-	}
+	ld := &Loaded{Decoded: tol.Decoded, Diags: tol.Diags}
 	m := tol.Decoded.Module
 	if m.Custom(dwarf.SectionInfo) != nil {
 		secs, err := dwarf.Extract(m)
-		if err == nil {
-			ld.CU, err = dwarf.Read(secs)
-		}
-		if err != nil {
-			ld.DwarfErr = err
+		ld.debug, ld.debugErr = &secs, err
+	}
+	dwarf.Strip(m)
+	names := resolveNames(m, nil)
+	ld.Funcs = make([]Func, len(m.Funcs))
+	for i := range m.Funcs {
+		ld.Funcs[i] = Func{Index: i, ResolvedName: names[i], Elements: core.Elements(m, i)}
+	}
+	return ld, nil
+}
+
+// Lookup finds the defined function a selector names: the lowest defined
+// index whose resolved name or any of whose export names equals sel.
+func (ld *Loaded) Lookup(sel string) (int, bool) {
+	best := -1
+	for i := range ld.Funcs {
+		if ld.Funcs[i].Name == sel {
+			best = i
+			break
 		}
 	}
-	if ld.CU != nil {
-		funcByOffset := make(map[uint32]int, len(tol.Decoded.CodeOffsets))
-		for i, off := range tol.Decoded.CodeOffsets {
-			funcByOffset[off] = i
+	nimp := ld.Decoded.Module.NumImportedFuncs()
+	for _, ex := range ld.Decoded.Module.Exports {
+		fi := int(ex.Index) - nimp
+		if ex.Kind == wasm.KindFunc && ex.Name == sel && fi >= 0 && fi < len(ld.Funcs) && (best < 0 || fi < best) {
+			best = fi
 		}
-		for _, sub := range ld.CU.FindAll(dwarf.TagSubprogram) {
-			if pc, ok := sub.Uint(dwarf.AttrLowPC); ok {
-				if fi, ok := funcByOffset[uint32(pc)]; ok {
-					ld.Subs[fi] = sub
-				}
+	}
+	return best, best >= 0
+}
+
+// Degradations lists the section diagnostics that are not ok, in report
+// shape; nil for a cleanly decoded binary.
+func (ld *Loaded) Degradations() []SectionReport {
+	var out []SectionReport
+	for _, dg := range ld.Diags {
+		if dg.Status != wasm.SectionOK {
+			out = append(out, sectionReport(dg))
+		}
+	}
+	return out
+}
+
+// readDWARF parses the DWARF sections Load stripped and matches each
+// DW_TAG_subprogram to the defined function whose code offset equals its
+// DW_AT_low_pc. It returns nil subprograms when the binary embeds no
+// DWARF, and an error when present-looking sections are unreadable.
+func (ld *Loaded) readDWARF() (map[int]*dwarf.DIE, error) {
+	if ld.debug == nil || ld.debugErr != nil {
+		return nil, ld.debugErr
+	}
+	cu, err := dwarf.Read(*ld.debug)
+	if err != nil {
+		return nil, err
+	}
+	funcByOffset := make(map[uint32]int, len(ld.Decoded.CodeOffsets))
+	for i, off := range ld.Decoded.CodeOffsets {
+		funcByOffset[off] = i
+	}
+	subs := map[int]*dwarf.DIE{}
+	for _, sub := range cu.FindAll(dwarf.TagSubprogram) {
+		if pc, ok := sub.Uint(dwarf.AttrLowPC); ok {
+			if fi, ok := funcByOffset[uint32(pc)]; ok {
+				subs[fi] = sub
 			}
 		}
 	}
-	ld.Names = resolveNames(m, ld.Subs)
-	return ld, nil
+	return subs, nil
 }
 
 // Ingester turns binaries into reports. The zero value (nil predictor)
@@ -139,66 +191,50 @@ func (ing *Ingester) binaryScored(name string, data []byte) (*Report, *metrics.A
 		return rep, nil
 	}
 	for _, dg := range ld.Diags {
-		sr := SectionReport{
-			ID: dg.ID, Name: dg.Name, Offset: dg.Offset, Size: dg.Size,
-			Status: string(dg.Status),
-		}
-		if dg.Err != nil {
-			sr.Error = dg.Err.Error()
-		}
-		rep.Sections = append(rep.Sections, sr)
+		rep.Sections = append(rep.Sections, sectionReport(dg))
 	}
-	if ld.DwarfErr != nil {
-		rep.DwarfError = ld.DwarfErr.Error()
+	subs, err := ld.readDWARF()
+	if err != nil {
+		rep.DwarfError = err.Error()
 	}
 
 	m := ld.Decoded.Module
-	truth := map[[2]int][]string{} // (func, element) -> label tokens
-	if ing.Eval && ing.Pred != nil && ld.CU != nil {
-		ing.label(ld, truth)
-	}
-	// Predictions run on the stripped module: DWARF (and every other
-	// custom section) plays no part in extraction, so the report reflects
+	// Load named the functions without DWARF; the report adds the DWARF
+	// rung. Predictions still run on the stripped module, so they reflect
 	// exactly what a reverse engineer gets from the code alone.
-	dwarf.Strip(m)
+	if subs != nil {
+		for i, rn := range resolveNames(m, subs) {
+			ld.Funcs[i].ResolvedName = rn
+		}
+	}
+	truth := map[[2]int][]string{} // (func, element) -> label tokens
+	if ing.Eval && ing.Pred != nil && subs != nil {
+		ing.label(ld, subs, truth)
+	}
 
 	nimp := m.NumImportedFuncs()
 	var paramQ, returnQ []elemQuery
-	for i := range m.Funcs {
-		fn := &m.Funcs[i]
+	for _, f := range ld.Funcs {
 		fr := FunctionReport{
-			Index:      nimp + i,
-			Name:       ld.Names[i].Name,
-			NameSource: string(ld.Names[i].Source),
+			Index:      nimp + f.Index,
+			Name:       f.Name,
+			NameSource: string(f.Source),
+			Signature:  "?",
 		}
-		if int(fn.TypeIdx) >= len(m.Types) {
-			// A tolerantly loaded module can frame a function whose type
-			// the (malformed) type section never delivered.
-			fr.Signature = "?"
-			rep.Funcs = append(rep.Funcs, fr)
-			continue
+		fn := &m.Funcs[f.Index]
+		if int(fn.TypeIdx) < len(m.Types) {
+			fr.Signature = m.Types[fn.TypeIdx].String()
 		}
-		sig := m.Types[fn.TypeIdx]
-		fr.Signature = sig.String()
-		for pi, low := range sig.Params {
-			el := ElementReport{Element: fmt.Sprintf("param%d", pi), LowType: low.String()}
-			if ing.Pred != nil && ing.Pred.Param != nil {
-				paramQ = append(paramQ, elemQuery{
-					fn: len(rep.Funcs), elem: len(fr.Elements),
-					src: extract.InputForParam(fn, pi, low, ing.Pred.Opts),
-				})
+		for _, el := range f.Elements {
+			if ing.Pred != nil && ing.Pred.ModelFor(el) != nil {
+				q := elemQuery{fn: len(rep.Funcs), elem: len(fr.Elements), src: ing.Pred.Input(m, f.Index, el)}
+				if el.IsReturn() {
+					returnQ = append(returnQ, q)
+				} else {
+					paramQ = append(paramQ, q)
+				}
 			}
-			fr.Elements = append(fr.Elements, el)
-		}
-		if len(sig.Results) == 1 {
-			el := ElementReport{Element: "return", LowType: sig.Results[0].String()}
-			if ing.Pred != nil && ing.Pred.Return != nil {
-				returnQ = append(returnQ, elemQuery{
-					fn: len(rep.Funcs), elem: len(fr.Elements),
-					src: extract.InputForReturn(fn, sig.Results[0], ing.Pred.Opts),
-				})
-			}
-			fr.Elements = append(fr.Elements, el)
+			fr.Elements = append(fr.Elements, ElementReport{Element: el.Name, LowType: el.Low.String()})
 		}
 		rep.Funcs = append(rep.Funcs, fr)
 	}
@@ -239,10 +275,10 @@ func (ing *Ingester) decode(rep *Report, tr *core.Trained, qs []elemQuery) {
 // indices match the report's layout: params first (only when the DWARF
 // and wasm parameter counts agree, as in corpus extraction), then the
 // return element when both sides have one.
-func (ing *Ingester) label(ld *Loaded, truth map[[2]int][]string) {
+func (ing *Ingester) label(ld *Loaded, subs map[int]*dwarf.DIE, truth map[[2]int][]string) {
 	m := ld.Decoded.Module
 	for i := range m.Funcs {
-		sub, ok := ld.Subs[i]
+		sub, ok := subs[i]
 		if !ok || int(m.Funcs[i].TypeIdx) >= len(m.Types) {
 			continue
 		}

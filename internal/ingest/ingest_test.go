@@ -108,13 +108,14 @@ func TestNameResolutionChain(t *testing.T) {
 	cases := []struct {
 		label  string
 		bin    []byte
-		source NameSource
-		name   string // expected name of the first defined function
+		source NameSource // the report's provenance
+		load   NameSource // Load's: it never reads DWARF
+		name   string     // expected name of the first defined function
 	}{
-		{"dwarf", debug.Binary, SourceDWARF, "add"},
-		{"names-section", namedBin, SourceNamesSection, "add"},
-		{"exports-only", exportedBin, SourceExport, "add"},
-		{"fully-stripped", strippedBin, SourceSynthesized, "func[0]"},
+		{"dwarf", debug.Binary, SourceDWARF, SourceNamesSection, "add"},
+		{"names-section", namedBin, SourceNamesSection, SourceNamesSection, "add"},
+		{"exports-only", exportedBin, SourceExport, SourceExport, "add"},
+		{"fully-stripped", strippedBin, SourceSynthesized, SourceSynthesized, "func[0]"},
 	}
 	if nimp > 0 {
 		cases[3].name = ""
@@ -125,23 +126,29 @@ func TestNameResolutionChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ld.Names) != len(ld.Decoded.Module.Funcs) {
-				t.Fatalf("%d names for %d functions", len(ld.Names), len(ld.Decoded.Module.Funcs))
+			if len(ld.Funcs) != len(ld.Decoded.Module.Funcs) {
+				t.Fatalf("%d contexts for %d functions", len(ld.Funcs), len(ld.Decoded.Module.Funcs))
 			}
-			got := ld.Names[0]
-			if got.Source != tc.source {
-				t.Errorf("source = %q, want %q", got.Source, tc.source)
+			if ld.Decoded.Module.Custom(dwarf.SectionInfo) != nil {
+				t.Error("Load left DWARF in the module")
+			}
+			got := ld.Funcs[0]
+			if got.Source != tc.load {
+				t.Errorf("Load source = %q, want %q", got.Source, tc.load)
 			}
 			if tc.name != "" && got.Name != tc.name {
 				t.Errorf("name = %q, want %q", got.Name, tc.name)
 			}
-			// Provenance must also survive into the report.
+			// The report walks the whole chain, DWARF rung included.
 			rep := (&Ingester{}).Binary(tc.label+".wasm", tc.bin)
 			if rep.Error != "" {
 				t.Fatalf("report error: %s", rep.Error)
 			}
 			if rep.Funcs[0].NameSource != string(tc.source) {
 				t.Errorf("report name_source = %q, want %q", rep.Funcs[0].NameSource, tc.source)
+			}
+			if tc.name != "" && rep.Funcs[0].Name != tc.name {
+				t.Errorf("report name = %q, want %q", rep.Funcs[0].Name, tc.name)
 			}
 		})
 	}

@@ -31,8 +31,9 @@ type ResolvedName struct {
 }
 
 // resolveNames names every defined function through the fallback chain:
-// DWARF subprogram name, then the names section, then an export name,
-// then a synthesized index placeholder. Real binaries populate these
+// DWARF subprogram name (subs is nil outside the report path, which alone
+// parses DWARF), then the names section, then an export name, then a
+// synthesized index placeholder. Real binaries populate these
 // sources unevenly (Wasmizer's survey: most are stripped, some keep the
 // name section, nearly all export something), so provenance is part of
 // the report, not an implementation detail.

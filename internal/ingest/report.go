@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"repro/internal/core"
+	"repro/internal/wasm"
 )
 
 // Report is the structured result of ingesting one binary: what the
@@ -46,6 +47,18 @@ type SectionReport struct {
 	Size   int    `json:"size"`
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
+}
+
+// sectionReport converts one loader diagnostic to its report shape.
+func sectionReport(dg wasm.SectionDiag) SectionReport {
+	sr := SectionReport{
+		ID: dg.ID, Name: dg.Name, Offset: dg.Offset, Size: dg.Size,
+		Status: string(dg.Status),
+	}
+	if dg.Err != nil {
+		sr.Error = dg.Err.Error()
+	}
+	return sr
 }
 
 // FunctionReport covers one module-defined function.

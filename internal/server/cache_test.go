@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/wasm"
 )
 
@@ -187,11 +188,11 @@ int other(int x) { return x * 3; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := core.DecodeStripped(bin)
+	ld, err := ingest.Load(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if funcHash(m, 0) != funcHash(m2, 0) {
+	if funcHash(m, 0) != funcHash(ld.Decoded.Module, 0) {
 		t.Error("hash differs across decode round trip")
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/wasm"
+	"repro/internal/ingest"
 )
 
 // predictEnvelope is the JSON request body accepted by POST /v1/predict as
@@ -21,8 +21,9 @@ import (
 type predictEnvelope struct {
 	// WasmBase64 is the wasm binary, standard base64.
 	WasmBase64 string `json:"wasm_base64"`
-	// Func selects one function by export/debug name or decimal index
-	// (module-defined index space); empty predicts all defined functions.
+	// Func selects one function by resolved name, export name or decimal
+	// index (module-defined index space); empty predicts all defined
+	// functions.
 	Func string `json:"func,omitempty"`
 	// K is the number of ranked predictions per element (default
 	// Config.DefaultK, capped at Config.MaxK).
@@ -46,15 +47,25 @@ type predictEnvelope struct {
 type FunctionResult struct {
 	// Index is the function's index among module-defined functions.
 	Index int `json:"index"`
-	// Name is the export or debug name, when known.
+	// Name is the function's resolved name: from the names section, an
+	// export, or synthesized as "func[N]" over the full index space. The
+	// server never parses DWARF, so it never reports a DWARF name.
 	Name string `json:"name,omitempty"`
-	// Elements maps "param0".."paramN" and "return" to ranked predictions.
+	// NameSource is the name's provenance: "names_section", "export" or
+	// "synthesized".
+	NameSource string `json:"name_source,omitempty"`
+	// Elements maps "param0".."paramN" and "return" to ranked predictions;
+	// empty when the module did not deliver the function's type.
 	Elements map[string][]core.TypePrediction `json:"elements"`
 }
 
 // PredictResponse is the body of a successful POST /v1/predict.
 type PredictResponse struct {
 	Functions []FunctionResult `json:"functions"`
+	// Sections lists the section diagnostics that were not ok, in the
+	// ingest report's shape: the module decoded only in part. Omitted
+	// for a clean binary.
+	Sections []ingest.SectionReport `json:"sections,omitempty"`
 	// CacheHits counts elements of this response answered from the cache.
 	CacheHits int `json:"cache_hits"`
 	// Precision is the arithmetic width of the engine that answered:
@@ -228,70 +239,28 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (bin []byte
 }
 
 // resolveFuncs maps the func selector to module-defined function indices.
-// Exact export/debug names resolve first and numeric index parsing is the
-// fallback, so an export literally named "3" selects that export rather
-// than function index 3. Name resolution is one pass over the exports and
-// one over the functions (not O(funcs×exports)); as before, the lowest
-// function index wins when a name is ambiguous.
-func resolveFuncs(m *wasm.Module, sel string) ([]int, error) {
+// Names resolve first (a resolved name or any export alias, the lowest
+// defined index winning) and numeric index parsing is the fallback, so an
+// export literally named "3" selects that export rather than function
+// index 3.
+func resolveFuncs(ld *ingest.Loaded, sel string) ([]int, error) {
 	if sel == "" {
-		all := make([]int, len(m.Funcs))
+		all := make([]int, len(ld.Funcs))
 		for i := range all {
 			all[i] = i
 		}
 		return all, nil
 	}
-	if fi, ok := funcByName(m)[sel]; ok {
+	if fi, ok := ld.Lookup(sel); ok {
 		return []int{fi}, nil
 	}
 	if idx, err := strconv.Atoi(sel); err == nil {
-		if idx < 0 || idx >= len(m.Funcs) {
-			return nil, fmt.Errorf("function index %d out of range (%d defined functions)", idx, len(m.Funcs))
+		if idx < 0 || idx >= len(ld.Funcs) {
+			return nil, fmt.Errorf("function index %d out of range (%d defined functions)", idx, len(ld.Funcs))
 		}
 		return []int{idx}, nil
 	}
 	return nil, fmt.Errorf("no function named %q", sel)
-}
-
-// funcByName builds the name → module-defined-index map resolveFuncs
-// consults: every export and debug name of every defined function, lowest
-// function index winning on duplicates (the order the old per-function
-// scan realized).
-func funcByName(m *wasm.Module) map[string]int {
-	imported := m.NumImportedFuncs()
-	expNames := make(map[uint32][]string)
-	for _, e := range m.Exports {
-		if e.Kind == wasm.KindFunc {
-			expNames[e.Index] = append(expNames[e.Index], e.Name)
-		}
-	}
-	byName := make(map[string]int, len(m.Funcs))
-	claim := func(name string, fi int) {
-		if name == "" {
-			return
-		}
-		if _, ok := byName[name]; !ok {
-			byName[name] = fi
-		}
-	}
-	for fi := range m.Funcs {
-		for _, n := range expNames[uint32(fi+imported)] {
-			claim(n, fi)
-		}
-		claim(m.Funcs[fi].Name, fi)
-	}
-	return byName
-}
-
-// funcName returns the export or debug name of a module-defined function.
-func funcName(m *wasm.Module, funcIdx int) string {
-	abs := uint32(funcIdx + m.NumImportedFuncs())
-	for _, e := range m.Exports {
-		if e.Kind == wasm.KindFunc && e.Index == abs {
-			return e.Name
-		}
-	}
-	return m.Funcs[funcIdx].Name
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -330,12 +299,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	m, err := core.DecodeStripped(bin)
+	ld, err := ingest.Load(bin)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid wasm binary: %v", err)
 		return
 	}
-	funcs, err := resolveFuncs(m, funcSel)
+	funcs, err := resolveFuncs(ld, funcSel)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -346,6 +315,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	resp := PredictResponse{
 		Functions: make([]FunctionResult, 0, len(funcs)),
+		Sections:  ld.Degradations(),
 		Precision: eng.precision,
 		Model:     es.name,
 		Version:   es.version,
@@ -360,16 +330,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				predictErr = err
 				return
 			}
-			elems, hits, err := s.predictFunc(ctx, es.pm, eng, tier, m, fi, k)
+			fn := &ld.Funcs[fi]
+			elems, hits, err := s.predictFunc(ctx, es.pm, eng, tier, ld.Decoded.Module, fn, k)
 			resp.CacheHits += hits
 			if err != nil {
 				predictErr = err
 				return
 			}
 			resp.Functions = append(resp.Functions, FunctionResult{
-				Index:    fi,
-				Name:     funcName(m, fi),
-				Elements: elems,
+				Index:      fi,
+				Name:       fn.Name,
+				NameSource: string(fn.Source),
+				Elements:   elems,
 			})
 		}
 	})

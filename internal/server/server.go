@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/metrics"
 	"repro/internal/wasm"
 )
@@ -426,57 +427,37 @@ func (s *Server) runQueries(ctx context.Context, tr *core.Trained, b *batcher, q
 }
 
 // predictFunc predicts every signature element of one module-defined
-// function on the given engine, mirroring core.PredictModule but in two
-// phases: consult the cache and extract inputs for every element first,
-// then decode all misses together (through the engine's dynamic batcher
-// when enabled, where they coalesce with other requests' queries into
-// one batched beam decode). Cache keys carry the engine's content
-// fingerprint plus the engine tier ("" primary, "f32"), so models,
-// versions, and precision modes never answer from each other's entries.
-func (s *Server) predictFunc(ctx context.Context, pm *modelMetrics, e *engine, tier string, m *wasm.Module, funcIdx, k int) (map[string][]core.TypePrediction, int, error) {
-	sig, err := m.FuncTypeAt(uint32(funcIdx + m.NumImportedFuncs()))
-	if err != nil {
-		return nil, 0, err
-	}
-	fnHash := funcHash(m, funcIdx)
-	out := make(map[string][]core.TypePrediction, len(sig.Params)+1)
+// function on the given engine in two phases: consult the cache and
+// extract inputs for every element first, then decode all misses
+// together (through the engine's dynamic batcher when enabled, where they
+// coalesce with other requests' queries into one batched beam decode).
+// Cache keys carry the engine's content fingerprint plus the engine tier
+// ("" primary, "f32"), so models, versions, and precision modes never
+// answer from each other's entries.
+func (s *Server) predictFunc(ctx context.Context, pm *modelMetrics, e *engine, tier string, m *wasm.Module, fn *ingest.Func, k int) (map[string][]core.TypePrediction, int, error) {
+	fnHash := funcHash(m, fn.Index)
+	out := make(map[string][]core.TypePrediction, len(fn.Elements))
 	hits := 0
 	var paramQs, returnQs []elemQuery
-	if e.pred.Param != nil {
-		for pi := range sig.Params {
-			name := fmt.Sprintf("param%d", pi)
-			key := cacheKey{model: e.fp, fn: fnHash, elem: name, k: k, engine: tier}
-			if preds, ok := s.cache.get(key); ok {
-				s.met.cacheHits.Inc()
-				pm.cacheHits.Inc()
-				out[name] = preds
-				hits++
-				continue
-			}
-			s.met.cacheMisses.Inc()
-			pm.cacheMisses.Inc()
-			src, err := e.pred.ParamInput(m, funcIdx, pi)
-			if err != nil {
-				return nil, hits, err
-			}
-			paramQs = append(paramQs, elemQuery{key: key, name: name, src: src, k: k})
+	for _, el := range fn.Elements {
+		if e.pred.ModelFor(el) == nil {
+			continue
 		}
-	}
-	if len(sig.Results) > 0 && e.pred.Return != nil {
-		key := cacheKey{model: e.fp, fn: fnHash, elem: "return", k: k, engine: tier}
+		key := cacheKey{model: e.fp, fn: fnHash, elem: el.Name, k: k, engine: tier}
 		if preds, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Inc()
 			pm.cacheHits.Inc()
-			out["return"] = preds
+			out[el.Name] = preds
 			hits++
+			continue
+		}
+		s.met.cacheMisses.Inc()
+		pm.cacheMisses.Inc()
+		q := elemQuery{key: key, name: el.Name, src: e.pred.Input(m, fn.Index, el), k: k}
+		if el.IsReturn() {
+			returnQs = append(returnQs, q)
 		} else {
-			s.met.cacheMisses.Inc()
-			pm.cacheMisses.Inc()
-			src, err := e.pred.ReturnInput(m, funcIdx)
-			if err != nil {
-				return nil, hits, err
-			}
-			returnQs = append(returnQs, elemQuery{key: key, name: "return", src: src, k: k})
+			paramQs = append(paramQs, q)
 		}
 	}
 	if err := s.runQueries(ctx, e.pred.Param, e.paramBatch, paramQs, out, pm); err != nil {

@@ -43,17 +43,7 @@ func testPredictor(t testing.TB) (*core.Predictor, []byte) {
 		if testState.err != nil {
 			return
 		}
-		obj, err := cc.Compile(`
-double first(double *xs, int n) {
-	if (xs != NULL && n > 0) { return xs[0]; }
-	return 0.0;
-}
-int length(char *s) {
-	int n = 0;
-	while (s[n] != 0) { n = n + 1; }
-	return n;
-}
-`, cc.Options{Debug: true})
+		obj, err := cc.Compile(frontendSrc, cc.Options{Debug: true})
 		if err != nil {
 			testState.err = err
 			return

@@ -20,14 +20,15 @@ var (
 var ErrNotWasm = errors.New("wasm: not a WebAssembly binary")
 
 // ErrMalformedSection reports a decoding failure localized to one section:
-// which section rejected its payload (by id) and where its header sits in
-// the file. Decode wraps every section-level failure in it, so callers
-// that triage real-world binaries (the ingest layer) can classify
-// failures with errors.As instead of matching message strings.
+// which section rejected its payload (by id) and where it sits in the
+// file. Decode wraps every section-level failure in it, so callers can
+// classify failures with errors.As instead of matching message strings.
 type ErrMalformedSection struct {
 	// ID is the section id (0 for a custom section).
 	ID byte
-	// Offset is the file offset of the section's id byte.
+	// Offset is the file offset of the section's id byte, or for a
+	// failing code entry that entry's code offset (as SectionDiag
+	// reports it).
 	Offset int
 	// Err is the underlying cause.
 	Err error
@@ -161,74 +162,32 @@ type Decoded struct {
 	CodeOffsets []uint32
 }
 
-// Decode parses a complete WebAssembly binary.
+// Decode parses a complete WebAssembly binary and rejects anything short
+// of a clean parse. It runs the same section loop as DecodeTolerant and
+// returns the first diagnostic that is not ok as an *ErrMalformedSection,
+// or an error when the function and code sections disagree on how many
+// functions the module defines.
 func Decode(data []byte) (*Decoded, error) {
-	r := &reader{buf: data}
-	hdr, err := r.bytes(8)
+	t, err := DecodeTolerant(data)
 	if err != nil {
-		return nil, ErrNotWasm
+		return nil, err
 	}
-	for i := 0; i < 4; i++ {
-		if hdr[i] != magic[i] {
-			return nil, ErrNotWasm
-		}
-		if hdr[4+i] != version[i] {
-			return nil, fmt.Errorf("wasm: unsupported version %x", hdr[4:8])
+	for _, dg := range t.Diags {
+		if dg.Status != SectionOK {
+			return nil, &ErrMalformedSection{ID: dg.ID, Offset: dg.Offset, Err: dg.Err}
 		}
 	}
-
-	m := &Module{}
-	d := &Decoded{Module: m}
-	lastSec := -1
-	for r.remaining() > 0 {
-		secOff := r.pos
-		id, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		size, err := r.u32()
-		if err != nil {
-			return nil, &ErrMalformedSection{ID: id, Offset: secOff, Err: err}
-		}
-		body, err := r.bytes(int(size))
-		if err != nil {
-			return nil, &ErrMalformedSection{ID: id, Offset: secOff, Err: err}
-		}
-		// Non-custom sections must appear at most once, in order.
-		if id != secCustom {
-			if int(id) <= lastSec {
-				return nil, &ErrMalformedSection{ID: id, Offset: secOff, Err: fmt.Errorf("wasm: section %d out of order", id)}
-			}
-			lastSec = int(id)
-		}
-		// Section-relative offsets must be translated to file offsets.
-		base := r.pos - int(size)
-		sr := &reader{buf: body}
-		if id == secCustom {
-			name, err := sr.name()
-			if err != nil {
-				return nil, &ErrMalformedSection{ID: id, Offset: secOff, Err: err}
-			}
-			m.Customs = append(m.Customs, Custom{Name: name, Bytes: append([]byte(nil), body[sr.pos:]...)})
-			continue
-		}
-		if err := decodeKnownSection(id, sr, m, d, base); err != nil {
-			return nil, &ErrMalformedSection{ID: id, Offset: secOff, Err: err}
-		}
-	}
-	if len(d.CodeOffsets) != len(m.Funcs) {
-		if len(m.Funcs) != 0 {
-			return nil, fmt.Errorf("wasm: function section has %d entries but code section has %d", len(m.Funcs), len(d.CodeOffsets))
-		}
+	d := t.Decoded
+	if len(d.CodeOffsets) != len(d.Module.Funcs) {
+		return nil, fmt.Errorf("wasm: function section has %d entries but code section has %d", len(d.Module.Funcs), len(d.CodeOffsets))
 	}
 	return d, nil
 }
 
-// decodeKnownSection dispatches a non-custom section payload to its
-// decoder; base is the file offset of the payload, which the code section
-// needs to record per-function code offsets. Both the strict Decode and
-// the tolerant loader route through it.
-func decodeKnownSection(id byte, sr *reader, m *Module, d *Decoded, base int) error {
+// decodeKnownSection dispatches a non-custom, non-code section payload to
+// its decoder. The code section is framed per entry and decoded by
+// decodeCodeTolerant.
+func decodeKnownSection(id byte, sr *reader, m *Module) error {
 	switch id {
 	case secType:
 		return decodeTypeSection(sr, m)
@@ -253,8 +212,6 @@ func decodeKnownSection(id byte, sr *reader, m *Module, d *Decoded, base int) er
 		return nil
 	case secElem:
 		return decodeElemSection(sr, m)
-	case secCode:
-		return decodeCodeSection(sr, m, d, base)
 	case secData:
 		return decodeDataSection(sr, m)
 	}
@@ -492,54 +449,6 @@ func decodeElemSection(r *reader, m *Module) error {
 			}
 		}
 		m.Elems = append(m.Elems, Elem{Offset: off, Funcs: fns})
-	}
-	return nil
-}
-
-func decodeCodeSection(r *reader, m *Module, d *Decoded, base int) error {
-	n, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if int(n) != len(m.Funcs) {
-		return fmt.Errorf("wasm: code section has %d entries, function section %d", n, len(m.Funcs))
-	}
-	for i := uint32(0); i < n; i++ {
-		// The code offset of a function is the file offset of its size
-		// field; this matches the encoder and the DWARF low_pc values.
-		d.CodeOffsets = append(d.CodeOffsets, uint32(base+r.pos))
-		size, err := r.u32()
-		if err != nil {
-			return err
-		}
-		end := r.pos + int(size)
-		if end > len(r.buf) {
-			return fmt.Errorf("wasm: code entry %d overflows section", i)
-		}
-		nl, err := r.u32()
-		if err != nil {
-			return err
-		}
-		f := &m.Funcs[i]
-		for j := uint32(0); j < nl; j++ {
-			cnt, err := r.u32()
-			if err != nil {
-				return err
-			}
-			vt, err := r.valType()
-			if err != nil {
-				return err
-			}
-			f.Locals = append(f.Locals, LocalDecl{Count: cnt, Type: vt})
-		}
-		body, err := decodeExpr(r)
-		if err != nil {
-			return fmt.Errorf("wasm: function %d: %w", i, err)
-		}
-		f.Body = body
-		if r.pos != end {
-			return fmt.Errorf("wasm: code entry %d: %d trailing bytes", i, end-r.pos)
-		}
 	}
 	return nil
 }

@@ -142,23 +142,3 @@ func AttachNames(m *Module, moduleName string) {
 	}
 	m.Customs = append(m.Customs, Custom{Name: "name", Bytes: data})
 }
-
-// ApplyNames decodes the module's "name" section (if present) and fills
-// the in-memory function names from it.
-func ApplyNames(m *Module) error {
-	c := m.Custom("name")
-	if c == nil {
-		return nil
-	}
-	ns, err := DecodeNameSection(c.Bytes)
-	if err != nil {
-		return err
-	}
-	nimp := uint32(m.NumImportedFuncs())
-	for idx, name := range ns.Funcs {
-		if idx >= nimp && int(idx-nimp) < len(m.Funcs) {
-			m.Funcs[idx-nimp].Name = name
-		}
-	}
-	return nil
-}

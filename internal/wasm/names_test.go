@@ -48,6 +48,10 @@ func TestNameSectionTruncated(t *testing.T) {
 	}
 }
 
+// TestAttachApplyNames checks that AttachNames replaces rather than
+// duplicates the name section and that the names survive a round trip
+// through the binary. The decoder leaves Function.Name empty; names are
+// read back from the section itself.
 func TestAttachApplyNames(t *testing.T) {
 	m := testModule()
 	m.Funcs[0].Name = "first"
@@ -79,10 +83,17 @@ func TestAttachApplyNames(t *testing.T) {
 	if d.Module.Funcs[0].Name != "" {
 		t.Fatal("decoder should not apply names implicitly")
 	}
-	if err := ApplyNames(d.Module); err != nil {
+	c := d.Module.Custom("name")
+	if c == nil {
+		t.Fatal("name section lost in the round trip")
+	}
+	ns, err := DecodeNameSection(c.Bytes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Module.Funcs[0].Name != "first" || d.Module.Funcs[1].Name != "second" {
-		t.Errorf("names = %q, %q", d.Module.Funcs[0].Name, d.Module.Funcs[1].Name)
+	nimp := uint32(d.Module.NumImportedFuncs())
+	want := map[uint32]string{0: "ext", nimp: "first", nimp + 1: "second"}
+	if ns.Module != "mod" || !reflect.DeepEqual(ns.Funcs, want) {
+		t.Errorf("name section = %q %v, want %q %v", ns.Module, ns.Funcs, "mod", want)
 	}
 }

@@ -54,8 +54,9 @@ type Tolerant struct {
 // skipping unknown and malformed sections instead of rejecting the
 // module, and degrading gracefully on truncated tails. Real-world
 // binaries carry producer metadata, source maps, and occasionally broken
-// custom sections that the strict Decode (built for the corpus
-// generator's own output) refuses; ingestion needs the healthy remainder.
+// custom sections; ingestion needs the healthy remainder. It is the only
+// section loop: Decode is this loop plus a rejection of any non-ok
+// diagnostic.
 //
 // Only an unusable header (bad magic or version) returns an error. A
 // malformed section's contents are dropped wholesale — except for the
@@ -129,7 +130,7 @@ func DecodeTolerant(data []byte) (*Tolerant, error) {
 			// Parse into a scratch module so a mid-payload failure cannot
 			// leave half a section behind; merge only on success.
 			probe := &Module{}
-			if err := decodeKnownSection(id, sr, probe, &Decoded{Module: probe}, base); err != nil {
+			if err := decodeKnownSection(id, sr, probe); err != nil {
 				diag.Status = SectionMalformed
 				diag.Err = err
 				break

@@ -20,6 +20,11 @@ echo "== go test -race =="
 # The race detector slows model training ~10x; on a single-core host the
 # core suite alone exceeds go test's default 10m budget, so be explicit.
 go test -race -timeout 30m ./...
+echo "== benchmark module (vet + unit tests + smoke run of every workload) =="
+# bench/ is its own Go module over the repo's packages; its smoke test
+# compares served predictions with in-process ones, so a break in the
+# front end or the server shows up here and not only in the perf runs.
+(cd bench && go vet ./... && go test ./...)
 echo "== pipeline determinism/race stress (-count=2 to vary scheduling) =="
 go test -race -count=2 -run 'TestPipeline(Determinism|RaceStress)|TestGeneratePackageIndependent|TestIndexOrderIndependent' \
 	./internal/core ./internal/corpus ./internal/dedup
@@ -34,8 +39,8 @@ go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMult
 	./internal/seq2seq ./internal/ad
 go test -race -count=2 -run 'TestBatcher|TestServerBatcherStress' ./internal/server
 echo "== fuzz seed corpora (no mutation; smoke-checks the native targets) =="
-go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest' \
-	./internal/dwarf ./internal/wasm ./internal/leb128 ./internal/bpe ./internal/ingest
+go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest|FuzzPredict' \
+	./internal/dwarf ./internal/wasm ./internal/leb128 ./internal/bpe ./internal/ingest ./internal/server
 echo "== ingest external eval (train tiny model, j1 == j4 == golden, both encoders) =="
 # End-to-end: train a small deterministic predictor, ingest the checked-in
 # real-binary set with embedded-DWARF scoring, and require byte-identical
