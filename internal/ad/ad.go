@@ -99,16 +99,19 @@ func (v *V) ZeroGrad() {
 // do: a beam search that appends maxLen × width decode steps to one
 // recording tape holds the whole search in memory. A forward tape
 // (NewForward) records nothing and can recycle intermediate storage
-// between decode steps through a Pool.
+// through a Pool: Mark and ReleaseSince return a scope's values as soon
+// as its results are all that survive (an encoder timestep, a decode
+// step).
 type Tape struct {
 	backward []func()
 	// grad marks a recording tape; forward tapes skip all backward
 	// bookkeeping.
 	grad bool
-	// pool recycles value storage on forward tapes (may be nil).
+	// pool recycles value storage on pooled tapes (may be nil).
 	pool *Pool
-	// live tracks pool-eligible values allocated since the last Keep or
-	// ReleaseExcept.
+	// live tracks the pool-drawn values the tape still owns, in
+	// allocation order; a Mark is a position in it. Pool-less tapes
+	// track nothing.
 	live []*V
 	// f32 marks a single-precision forward tape (NewForwardF32): every
 	// op computes in float32 (V.W32) through the kernels in
@@ -131,7 +134,7 @@ func NewTraining(pool *Pool) *Tape { return &Tape{grad: true, pool: pool} }
 // NewForward returns a forward-only tape: no backward closures are
 // recorded, so intermediates become garbage as soon as they are
 // unreferenced. pool (may be nil) additionally allows explicit storage
-// reuse via ReleaseExcept.
+// reuse via ReleaseSince and Reset.
 func NewForward(pool *Pool) *Tape { return &Tape{pool: pool} }
 
 // NewForwardF32 returns a forward-only single-precision tape: every op
@@ -154,25 +157,23 @@ func (t *Tape) F32() bool { return t.f32 && !t.grad }
 // new allocates an op output: with gradient storage on recording tapes,
 // gradient-free on forward tapes; pool-recycled on pooled tapes.
 func (t *Tape) new(r, c int) *V {
-	if t.grad {
-		if t.pool == nil {
+	if t.pool == nil {
+		switch {
+		case t.grad:
 			return New(r, c)
+		case t.f32:
+			return &V{R: r, C: c, W32: make([]float32, r*c)}
 		}
-		v := t.pool.getGrad(r, c)
-		t.live = append(t.live, v)
-		return v
+		return &V{R: r, C: c, W: make([]float64, r*c)}
 	}
 	var v *V
-	if t.f32 {
-		if t.pool != nil {
-			v = t.pool.get32(r, c)
-		} else {
-			v = &V{R: r, C: c, W32: make([]float32, r*c)}
-		}
-	} else if t.pool != nil {
+	switch {
+	case t.grad:
+		v = t.pool.getGrad(r, c)
+	case t.f32:
+		v = t.pool.get32(r, c)
+	default:
 		v = t.pool.get(r, c)
-	} else {
-		v = &V{R: r, C: c, W: make([]float64, r*c)}
 	}
 	t.live = append(t.live, v)
 	return v
@@ -202,27 +203,33 @@ func (t *Tape) scratch32(n int) []float32 {
 	return v.W32
 }
 
-// Keep marks every value allocated on the tape so far as permanent:
-// later ReleaseExcept calls will not recycle them. Beam search calls it
-// once after encoding, so the encoder outputs survive all decode steps.
-func (t *Tape) Keep() { t.live = t.live[:0] }
+// Mark opens a release scope: it returns a position that a later
+// ReleaseSince rolls the tape's pool-drawn values back to. Scopes nest
+// like a stack; releasing to a mark invalidates every mark taken after
+// it.
+func (t *Tape) Mark() int { return len(t.live) }
 
-// ReleaseExcept returns the values allocated since the last Keep or
-// ReleaseExcept to the tape's pool, except those listed in keep, which
-// stay tracked and are recycled by a later call once dropped from the
-// keep set. No-op on recording tapes (the backward pass needs every
-// value) and on pool-less forward tapes (the garbage collector already
-// reclaims unreferenced values).
-func (t *Tape) ReleaseExcept(keep ...*V) {
+// ReleaseSince returns every value allocated since mark to the tape's
+// pool, except those listed in keep: the kept values stay tracked in
+// the scope, so a later release to the same (or an earlier) mark
+// recycles them once they leave the keep set. Values allocated before
+// mark are untouched. Callers must not use a released value again.
+//
+// It is a no-op on recording tapes — the backward pass needs every
+// value, and Reset still recycles them all — and on pool-less forward
+// tapes, where the garbage collector reclaims unreferenced values.
+func (t *Tape) ReleaseSince(mark int, keep ...*V) {
 	if t.grad || t.pool == nil {
-		t.live = t.live[:0]
 		return
 	}
-	kept := t.live[:0]
+	if mark < 0 || mark > len(t.live) {
+		panic(fmt.Sprintf("ad: ReleaseSince mark %d outside a scope of %d values", mark, len(t.live)))
+	}
+	kept := t.live[:mark]
 scan:
-	for _, v := range t.live {
+	for _, v := range t.live[mark:] {
 		// Keep lists are a handful of surviving states; a linear scan
-		// beats allocating a set every decode step.
+		// beats allocating a set on every step.
 		for _, k := range keep {
 			if v == k {
 				kept = append(kept, v)
@@ -234,11 +241,10 @@ scan:
 	t.live = kept
 }
 
-// Reset returns every value the tape allocated to its pool and clears
+// Reset returns every value the tape still owns to its pool and clears
 // the recorded backward pass, retaining slice capacity. Externally
 // created values (parameters) are untouched. Training shard workers call
-// it between shards so each step reuses the previous step's storage; do
-// not mix with Keep, which hides values from Reset.
+// it between shards so each step reuses the previous step's storage.
 func (t *Tape) Reset() {
 	if t.pool != nil {
 		for _, v := range t.live {
@@ -452,6 +458,10 @@ func (t *Tape) ConcatCols(vs ...*V) *V {
 		off += v.C
 	}
 	if t.grad {
+		// The closure keeps its own copy of the inputs, so a caller's
+		// variadic slice never outlives the call (nor costs a heap
+		// allocation on forward tapes).
+		vs := append([]*V(nil), vs...)
 		t.record(func() {
 			off := 0
 			for _, v := range vs {

@@ -20,9 +20,11 @@ import "sync"
 // data-dependent branch inside the micro-kernel costs more than the
 // loads it saves. matmulNT has no skip semantics, so it keeps a classic
 // 4x4 register micro-kernel (sixteen independent accumulator chains)
-// with a panel-packed b for tall a. Remainder rows and columns fall
-// through to the scalar kernels, which double as the oracle reference
-// in kernels_test.go.
+// with a panel-packed b for tall a. Remainder rows of matmul and
+// matmulTN run a per-row skip-zero axpy, so they share the vector axpy
+// below; matmulNT's remainder rows and columns fall through to its
+// scalar kernel. The scalar kernels double as the oracle reference in
+// kernels_test.go.
 //
 // On amd64 hosts with AVX2 the all-nonzero band fast path and axpy
 // dispatch to vector micro-kernels (kernels_amd64.s). Those use
@@ -31,7 +33,7 @@ import "sync"
 // the scalar op sequence and the bitwise contract below is preserved.
 // Only multi-row (r >= blockDim) calls reach the band kernel: this is
 // what batching beam hypotheses into one GEMM buys, since batch-size-1
-// matvecs never form a band and stay on the scalar path.
+// matvecs never form a band and run one axpy per nonzero coefficient.
 //
 // Bitwise contract: every kernel reproduces the scalar kernels' result
 // exactly — for each out[i,j], partial products accumulate in ascending-p
@@ -148,8 +150,16 @@ func matmul(out, a, b []float64, r, k, c int) {
 			}
 		}
 	}
-	if ib < r {
-		matmulScalar(out[ib*c:], a[ib*k:], b, r-ib, k, c)
+	// Remainder rows: per-row skip-zero axpy in ascending p, the scalar
+	// kernel's exact per-element chain, on the vector axpy.
+	for i := ib; i < r; i++ {
+		ai := a[i*k : i*k+k : i*k+k]
+		oi := out[i*c : i*c+c : i*c+c]
+		for p, av := range ai {
+			if av != 0 {
+				axpy(oi, b[p*c:p*c+c:p*c+c], av)
+			}
+		}
 	}
 }
 
@@ -384,9 +394,9 @@ func matmulTN(out, a, b []float64, r, k, c int) {
 	}
 }
 
-// The scalar kernels below are the pre-blocking implementations. They
-// serve as the remainder path for dimensions not divisible by blockDim
-// and as the bitwise oracle the blocked kernels are tested against.
+// The scalar kernels below are the pre-blocking implementations: the
+// bitwise oracle the blocked kernels are tested against, and matmulNT's
+// remainder-row path.
 
 // matmulScalar is the scalar reference for matmul.
 func matmulScalar(out, a, b []float64, r, k, c int) {

@@ -33,6 +33,7 @@ func bitsEqual(a, b []float64) bool {
 
 // TestBandKernelAVX2Bitwise pins the AVX2 band and axpy micro-kernels
 // to the pure-Go kernels bitwise across randomized shapes, including
+// remainder-only row counts (r < 4, the batch-size-1 matvecs),
 // sub-vector tails, denormals-by-product, and special values in b.
 func TestBandKernelAVX2Bitwise(t *testing.T) {
 	if !useAVX2 {
@@ -40,7 +41,7 @@ func TestBandKernelAVX2Bitwise(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
-		rr := 4 + r.Intn(9) // at least one full band
+		rr := 1 + r.Intn(12) // remainder-only calls as well as full bands
 		k := 1 + r.Intn(17)
 		c := 1 + r.Intn(37) // exercises c < avxMinC and ragged tails
 		a := make([]float64, rr*k)

@@ -37,9 +37,11 @@ func (t *Tape) LayerNorm(a, gain, bias *V) *V {
 		return t.layerNormF32(a, gain, bias, eps)
 	}
 	out := t.new(R, C)
-	means := make([]float64, R)
-	invStd := make([]float64, R)
-	norm := make([]float64, R*C) // cached normalized values for backward
+	// Per-row inverse deviations and normalized values for backward,
+	// drawn like every other op's backward state so pooled tapes
+	// recycle them.
+	invStd := t.scratch(R)
+	norm := t.scratch(R * C)
 	for i := 0; i < R; i++ {
 		row := a.W[i*C : (i+1)*C]
 		m := 0.0
@@ -54,7 +56,7 @@ func (t *Tape) LayerNorm(a, gain, bias *V) *V {
 		}
 		v /= float64(C)
 		is := 1 / math.Sqrt(v+eps)
-		means[i], invStd[i] = m, is
+		invStd[i] = is
 		for j, x := range row {
 			nx := (x - m) * is
 			norm[i*C+j] = nx

@@ -71,11 +71,12 @@ func TestGatherRowBlocks(t *testing.T) {
 	// buffer reuse (recycled storage is re-zeroed).
 	pool := NewPool()
 	ftape := NewForward(pool)
+	mark := ftape.Mark()
 	first := ftape.GatherRowBlocks(a, idx, 2)
 	if !equalW(first, got) {
 		t.Errorf("pooled forward differs: %v vs %v", first.W, got.W)
 	}
-	ftape.ReleaseExcept()
+	ftape.ReleaseSince(mark)
 	again := ftape.GatherRowBlocks(a, idx, 2)
 	if !equalW(again, got) {
 		t.Errorf("pool reuse corrupted gather: %v vs %v", again.W, got.W)
@@ -128,11 +129,12 @@ func TestStackRowBlocks(t *testing.T) {
 	// the padding rows must still come out zero.
 	pool := NewPool()
 	ftape := NewForward(pool)
+	mark := ftape.Mark()
 	dirty := ftape.new(6, 2)
 	for i := range dirty.W {
 		dirty.W[i] = 99
 	}
-	ftape.ReleaseExcept()
+	ftape.ReleaseSince(mark)
 	restacked := ftape.StackRowBlocks([]*V{a, b}, 3)
 	for k := len(b.W); k < 3*2; k++ {
 		if restacked.W[3*2+k] != 0 {

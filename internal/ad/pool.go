@@ -1,10 +1,14 @@
 package ad
 
-// Pool recycles the storage of forward-only values, keyed by element
-// count. Beam search allocates the same tensor shapes at every decode
-// step; drawing them from a Pool and releasing them between steps keeps
-// a Predict call's allocation footprint bounded by one step's working
-// set instead of the whole search (maxLen × width steps).
+import "math/bits"
+
+// Pool recycles the storage of forward-only values, keyed by size class
+// (sizeClass): a released buffer serves any later value whose element
+// count rounds to the same class. Beam search allocates the same tensor
+// shapes at every decode step; drawing them from a Pool and releasing
+// them between steps keeps a Predict call's allocation footprint
+// bounded by one step's working set instead of the whole search
+// (maxLen × width steps).
 //
 // float64 and float32 storage are recycled through separate free lists
 // (a value is one or the other, discriminated by which slice is
@@ -55,7 +59,7 @@ func (p *Pool) get(r, c int) *V {
 		v.R, v.C = r, c
 		return v
 	}
-	return &V{R: r, C: c, W: make([]float64, n)}
+	return &V{R: r, C: c, W: make([]float64, n, sizeClass(n))}
 }
 
 // get32 returns a zeroed [r,c] float32-backed value for single-precision
@@ -72,7 +76,7 @@ func (p *Pool) get32(r, c int) *V {
 		v.R, v.C = r, c
 		return v
 	}
-	return &V{R: r, C: c, W32: make([]float32, n)}
+	return &V{R: r, C: c, W32: make([]float32, n, sizeClass(n))}
 }
 
 // getGrad returns a zeroed [r,c] value with zeroed gradient storage, for
@@ -88,11 +92,11 @@ func (p *Pool) getGrad(r, c int) *V {
 	}
 	v := p.take(n)
 	if v == nil {
-		return New(r, c)
+		v = &V{W: make([]float64, n, sizeClass(n))}
 	}
 	v.R, v.C = r, c
 	if cap(v.G) < n {
-		v.G = make([]float64, n)
+		v.G = make([]float64, n, cap(v.W))
 		return v
 	}
 	v.G = v.G[:n]
@@ -102,45 +106,60 @@ func (p *Pool) getGrad(r, c int) *V {
 	return v
 }
 
-// take pops a free value of element count n with W zeroed, or nil.
+// take pops a free value of n's size class, resliced to n elements and
+// zeroed, or nil.
 func (p *Pool) take(n int) *V {
-	vs := p.free[n]
+	cls := sizeClass(n)
+	vs := p.free[cls]
 	if len(vs) == 0 {
 		return nil
 	}
 	v := vs[len(vs)-1]
-	p.free[n] = vs[:len(vs)-1]
-	for i := range v.W {
-		v.W[i] = 0
-	}
+	p.free[cls] = vs[:len(vs)-1]
+	v.W = v.W[:n]
+	clear(v.W)
 	return v
 }
 
-// take32 pops a free float32 value of element count n with W32 zeroed,
-// or nil.
+// take32 is take for float32 values.
 func (p *Pool) take32(n int) *V {
-	vs := p.free32[n]
+	cls := sizeClass(n)
+	vs := p.free32[cls]
 	if len(vs) == 0 {
 		return nil
 	}
 	v := vs[len(vs)-1]
-	p.free32[n] = vs[:len(vs)-1]
-	for i := range v.W32 {
-		v.W32[i] = 0
-	}
+	p.free32[cls] = vs[:len(vs)-1]
+	v.W32 = v.W32[:n]
+	clear(v.W32)
 	return v
 }
 
 // put returns a value's storage to the pool. The caller must not use v
 // after releasing it. float32-only values go to the f32 free list;
-// everything else is keyed by its float64 storage.
+// everything else is keyed by its float64 storage, whose capacity is
+// its size class.
 func (p *Pool) put(v *V) {
 	if len(v.W) == 0 {
 		if len(v.W32) == 0 {
 			return
 		}
-		p.free32[len(v.W32)] = append(p.free32[len(v.W32)], v)
+		p.free32[cap(v.W32)] = append(p.free32[cap(v.W32)], v)
 		return
 	}
-	p.free[len(v.W)] = append(p.free[len(v.W)], v)
+	p.free[cap(v.W)] = append(p.free[cap(v.W)], v)
+}
+
+// sizeClass rounds an element count up to the pool's size classes,
+// four per power of two, so a buffer is under 25% larger than its
+// value. Many shapes follow the input — the encoder's [S*T,H] operand
+// matrix and the decoder's [L,T] attention rows grow with the padded
+// source length — and exact-size free lists would pin one buffer per
+// length ever seen; with classes, a pool retains a bounded set.
+func sizeClass(n int) int {
+	if n <= 8 {
+		return n
+	}
+	step := 1 << (bits.Len(uint(n-1)) - 3)
+	return (n + step - 1) &^ (step - 1)
 }

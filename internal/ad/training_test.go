@@ -98,12 +98,13 @@ func TestForwardPooledOpsZeroAlloc(t *testing.T) {
 		weights[i] = 1
 	}
 	tape := NewForward(NewPool())
+	mark := tape.Mark()
 	step := func() {
 		ce := tape.SoftmaxCrossEntropy(logits, targets, weights)
 		_ = ce.W[0]
 		lp := tape.LogSoftmaxRow(logits.W[:64])
 		_ = lp[0]
-		tape.ReleaseExcept()
+		tape.ReleaseSince(mark)
 	}
 	step() // warm the pool
 	if allocs := testing.AllocsPerRun(100, step); allocs > 0 {

@@ -148,10 +148,14 @@ func candCmp(a, b cand) int {
 // bitwise identical to decoding each hypothesis alone
 // (TestPredictBatchedMatchesSequential, against a sequential reference
 // decoder kept in the tests). Inference runs on a
-// forward-only tape whose buffers recycle between decode steps (see
-// ad.NewForward), so a call's memory footprint is bounded by one step's
-// working set rather than the whole maxLen × width search. Predict is
-// safe for concurrent use; each call draws its own buffer pool.
+// forward-only tape whose buffers recycle between encoder timesteps and
+// between decode steps (see ad.Tape.ReleaseSince), so a call's memory
+// footprint is bounded by one step's working set plus the encoder's
+// per-timestep outputs, rather than the whole source length × layers
+// encode or maxLen × width search; a warmed call's heap allocations do
+// not grow with the source length (TestPredictAllocsFlatInSourceLength).
+// Predict is safe for concurrent use; each call draws its own buffer
+// pool.
 func (m *Model) Predict(src []string, k int) []Prediction {
 	pool := m.getPool()
 	defer m.putPool(pool)
@@ -280,13 +284,18 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 	for si, ids := range padded {
 		padded[si] = pad(ids, Tmax)
 	}
+	// One release scope covers the search. The encoder recycles its own
+	// timesteps; its leftovers go back to the pool before decoding,
+	// each decode step's intermediates after it, and everything else —
+	// the cached operands, the last state batch — when the search ends.
+	mark := tape.Mark()
+	defer tape.ReleaseSince(mark)
 	enc := m.encode(tape, padded, false)
 	ops := enc.operands()                    // [S*Tmax, H] shared blocks + mask
 	stateH, stateC := enc.init.H, enc.init.C // [S, H]
-	// The cached attention operands feed every decode step in place:
-	// exempt them (and everything before them) from the per-step release
-	// cycle.
-	tape.Keep()
+	// Only the cached attention operands and the decoder state batch
+	// outlive a release: the operands feed every decode step in place.
+	tape.ReleaseSince(mark, ops.keys, stateH, stateC)
 
 	searches := make([]msearch, S)
 	for si := range searches {
@@ -379,9 +388,7 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 			}
 		}
 		stateH, stateC = newState.H, newState.C
-		// Recycle everything this step allocated except the surviving
-		// state batch; the attention operands live above the Keep mark.
-		tape.ReleaseExcept(stateH, stateC)
+		tape.ReleaseSince(mark, ops.keys, stateH, stateC)
 	}
 
 	out := make([][]Prediction, S)

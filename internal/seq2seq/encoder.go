@@ -54,6 +54,14 @@ type encoder interface {
 	// used must be row-wise independent with fixed ascending-index
 	// accumulation so batch row b is bitwise equal to encoding example b
 	// alone — the property batched beam search relies on.
+	//
+	// Recycling rule: an implementation brackets each timestep (or
+	// position) in a tape scope — Mark before it, ReleaseSince(mark,
+	// results...) after — keeping only what later timesteps read, so a
+	// pooled forward tape does not hold every timestep's intermediates.
+	// The release is a no-op on recording tapes, so training is
+	// unaffected. Everything else encode allocates, its result
+	// included, is the caller's to release.
 	encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool) encoded
 }
 
@@ -87,11 +95,13 @@ func newBiLSTMEncoder(p *nn.Params, r *rand.Rand, cfg Config) *bilstmEncoder {
 func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool) encoded {
 	B := len(srcIDs)
 	T := len(srcIDs[0])
-	// Per-timestep masks.
+	// Per-timestep masks (rows of one time-major buffer) and the
+	// example-major attention mask.
 	masks := make([][]float64, T)
+	maskBuf := make([]float64, T*B)
 	flat := make([]float64, B*T)
 	for tt := 0; tt < T; tt++ {
-		masks[tt] = make([]float64, B)
+		masks[tt] = maskBuf[tt*B : (tt+1)*B]
 		for b := 0; b < B; b++ {
 			if srcIDs[b][tt] != PAD {
 				masks[tt][b] = 1
@@ -99,14 +109,23 @@ func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool)
 			}
 		}
 	}
-	// Layer-0 inputs: embeddings per timestep.
+	// Layer-0 inputs: embeddings per timestep. Lookup copies the ids
+	// wherever it keeps them, so one buffer serves every timestep.
 	inputs := make([]*ad.V, T)
+	ids := make([]int, B)
 	for tt := 0; tt < T; tt++ {
-		ids := make([]int, B)
 		for b := 0; b < B; b++ {
 			ids[b] = srcIDs[b][tt]
 		}
 		inputs[tt] = m.embSrc.Lookup(t, ids)
+	}
+	// step advances one direction by one timestep and recycles the
+	// step's gates and intermediates: only the new state survives it.
+	step := func(lstm *nn.LSTM, x *ad.V, s nn.State, mask []float64) nn.State {
+		mark := t.Mark()
+		s = lstm.StepMasked(t, x, s, mask)
+		t.ReleaseSince(mark, s.H, s.C)
+		return s
 	}
 
 	var finalFwd, finalBwd nn.State
@@ -115,12 +134,12 @@ func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool)
 		bwdOut := make([]*ad.V, T)
 		sf := e.fwd[l].ZeroState(B)
 		for tt := 0; tt < T; tt++ {
-			sf = e.fwd[l].StepMasked(t, inputs[tt], sf, masks[tt])
+			sf = step(e.fwd[l], inputs[tt], sf, masks[tt])
 			fwdOut[tt] = sf.H
 		}
 		sb := e.bwd[l].ZeroState(B)
 		for tt := T - 1; tt >= 0; tt-- {
-			sb = e.bwd[l].StepMasked(t, inputs[tt], sb, masks[tt])
+			sb = step(e.bwd[l], inputs[tt], sb, masks[tt])
 			bwdOut[tt] = sb.H
 		}
 		next := make([]*ad.V, T)

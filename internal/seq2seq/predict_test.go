@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -226,6 +227,105 @@ func TestPredictAllocsBounded(t *testing.T) {
 	if pooled > reference/2 {
 		t.Errorf("pooled Predict allocates %.0f objects/run, reference %.0f — pooling is not engaging", pooled, reference)
 	}
+}
+
+// TestPredictAllocsFlatInSourceLength: after warm-up, a Predict call's
+// heap allocations and bytes must not grow with the source length, on
+// either encoder and either engine — every encoder timestep (or
+// position) returns its intermediates to the call's buffer pool, and
+// the search returns the rest when it ends. An untrained model keeps
+// every beam alive to MaxTgtLen, so the decode does the same work at
+// both lengths and the difference is the encoder's alone. Before the
+// encoder recycled its timesteps, each extra source token cost 162
+// allocations and 18–26 KiB on the BiLSTM and 95–107 allocations and
+// 16–27 KiB on the Transformer (f32–f64); now it costs under one
+// allocation and ~450 B of pointer slots.
+func TestPredictAllocsFlatInSourceLength(t *testing.T) {
+	const short, long = 10, 100
+	for _, enc := range []string{EncoderBiLSTM, EncoderTransformer} {
+		r := rand.New(rand.NewSource(19))
+		cfg := testConfig()
+		cfg.Encoder = enc
+		cfg.MaxSrcLen = long
+		cfg.MaxTgtLen = 6
+		m := buildModel(t, cfg, makeToyData(r, 80))
+		src := benchSrc(r, m.Src, long)
+		for _, prec := range []string{"f64", "f32"} {
+			if err := m.SetPrecision(prec); err != nil {
+				t.Fatal(err)
+			}
+			sAllocs, sBytes := perPredict(m, src[:short])
+			lAllocs, lBytes := perPredict(m, src)
+			allocs := (lAllocs - sAllocs) / (long - short)
+			bytes := (lBytes - sBytes) / (long - short)
+			t.Logf("%s %s: %.2f allocs, %.0f B per extra source token", EncoderName(enc), prec, allocs, bytes)
+			// The remaining growth is the encoder's per-timestep pointer
+			// slices and the tape's value list.
+			if allocs > 1 || bytes > 1024 {
+				t.Errorf("%s %s: Predict grows by %.2f allocs and %.0f B per source token, want <= 1 and <= 1024: encoder intermediates are escaping the pool",
+					EncoderName(enc), prec, allocs, bytes)
+			}
+		}
+	}
+}
+
+// TestPredictRecycledEncoderMatchesReference: with every encoder
+// timestep recycled into the pool, decoding must still equal the
+// recording-tape reference (which recycles nothing) bitwise, on both
+// encoders, for single searches, padded groups, and repeat calls that
+// reuse the first calls' buffers — a recycled buffer that is still
+// referenced shows up as a diverging prediction.
+func TestPredictRecycledEncoderMatchesReference(t *testing.T) {
+	for _, enc := range []string{EncoderBiLSTM, EncoderTransformer} {
+		r := rand.New(rand.NewSource(23))
+		cfg := testConfig()
+		cfg.Encoder = enc
+		cfg.MaxSrcLen = 40
+		cfg.MaxTgtLen = 6
+		m := buildModel(t, cfg, makeToyData(r, 80))
+		srcs := make([][]string, 5)
+		want := make([][]Prediction, len(srcs))
+		for i := range srcs {
+			srcs[i] = benchSrc(r, m.Src, 3+r.Intn(38))
+			want[i] = referencePredict(m, srcs[i], 5)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, src := range srcs {
+				if got := m.Predict(src, 5); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("%s pass %d src %d: Predict diverged from the reference\ngot  %v\nwant %v", EncoderName(enc), pass, i, got, want[i])
+				}
+			}
+			batch := m.PredictBatch(srcs, 5)
+			for i := range srcs {
+				if !reflect.DeepEqual(batch[i], want[i]) {
+					t.Fatalf("%s pass %d src %d: PredictBatch diverged from the reference\ngot  %v\nwant %v", EncoderName(enc), pass, i, batch[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// perPredict returns the mean heap allocations and bytes of a warmed
+// width-5 search over src: Predict's path, on one buffer pool held for
+// the measurement (the model's sync.Pool may drop a pool between calls,
+// and under -race does so at random).
+func perPredict(m *Model, src []string) (allocs, bytes float64) {
+	const runs = 20
+	pool := ad.NewPool()
+	predict := func() {
+		if _, err := m.predictMultiOn(m.inferTape(pool), [][]string{src}, []int{5}, nil); err != nil {
+			panic(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	predict() // warm the buffer pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		predict()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // TestPredictBatchedMatchesSequential is the oracle for the batched

@@ -45,9 +45,9 @@ func (m *Model) predictSequentialOn(tape *ad.Tape, src []string, k int) []Predic
 		ids = []int{UNK}
 	}
 	enc := m.encode(tape, [][]int{ids}, false)
-	// The encoder outputs feed attention at every step: exempt them from
-	// the per-step release cycle.
-	tape.Keep()
+	// The encoder outputs feed attention at every step: open the
+	// per-step release scope after them.
+	mark := tape.Mark()
 
 	type beam struct {
 		node    *beamNode
@@ -102,7 +102,7 @@ func (m *Model) predictSequentialOn(tape *ad.Tape, src []string, k int) []Predic
 		// Recycle everything this step allocated except the surviving
 		// decoder states; states kept for a stopped or pruned beam are
 		// reclaimed by a later release once dereferenced.
-		tape.ReleaseExcept(keep...)
+		tape.ReleaseSince(mark, keep...)
 	}
 
 	sort.SliceStable(beams, func(i, j int) bool { return beams[i].logp > beams[j].logp })

@@ -39,9 +39,10 @@ func newTFLayer(p *nn.Params, name string, r *rand.Rand, h int) *tfLayer {
 	}
 }
 
-// posEncoding returns the sinusoidal positional vector for position t.
-func posEncoding(t, dim int) []float64 {
-	out := make([]float64, dim)
+// posEncoding fills out with the sinusoidal positional vector for
+// position t (dim = len(out)).
+func posEncoding(out []float64, t int) {
+	dim := len(out)
 	for i := 0; i < dim; i += 2 {
 		freq := math.Pow(10000, -float64(i)/float64(dim))
 		out[i] = math.Sin(float64(t) * freq)
@@ -49,7 +50,6 @@ func posEncoding(t, dim int) []float64 {
 			out[i+1] = math.Cos(float64(t) * freq)
 		}
 	}
-	return out
 }
 
 // transformerEncoder is the alternative architecture behind the encoder
@@ -85,20 +85,26 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 			}
 		}
 	}
-	// Embed, project to H, add positional encodings.
+	// Embed, project to H, add positional encodings. Every position is
+	// a tape scope (the encoder interface's recycling rule): only its
+	// outputs survive it. Lookup copies the ids it keeps and
+	// AddRowsConst keeps no reference to the positional rows, so one
+	// buffer of each serves every position.
 	xs := make([]*ad.V, T)
+	ids := make([]int, B)
+	full := make([]float64, B*H)
 	for tt := 0; tt < T; tt++ {
-		ids := make([]int, B)
+		mark := t.Mark()
 		for b := 0; b < B; b++ {
 			ids[b] = srcIDs[b][tt]
 		}
 		x := e.proj.Apply(t, m.embSrc.Lookup(t, ids))
-		pe := posEncoding(tt, H)
-		full := make([]float64, B*H)
-		for b := 0; b < B; b++ {
-			copy(full[b*H:(b+1)*H], pe)
+		posEncoding(full[:H], tt)
+		for b := 1; b < B; b++ {
+			copy(full[b*H:(b+1)*H], full[:H])
 		}
 		xs[tt] = t.AddRowsConst(x, full)
+		t.ReleaseSince(mark, xs[tt])
 	}
 
 	scale := 1 / math.Sqrt(float64(H))
@@ -108,14 +114,17 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 		vs := make([]*ad.V, T)
 		qs := make([]*ad.V, T)
 		for tt := 0; tt < T; tt++ {
+			mark := t.Mark()
 			qs[tt] = layer.wq.Apply(t, xs[tt])
 			ks[tt] = layer.wk.Apply(t, xs[tt])
 			vs[tt] = layer.wv.Apply(t, xs[tt])
+			t.ReleaseSince(mark, qs[tt], ks[tt], vs[tt])
 		}
 		K := t.StackRows(ks)
 		V := t.StackRows(vs)
 		next := make([]*ad.V, T)
 		for tt := 0; tt < T; tt++ {
+			mark := t.Mark()
 			scores := t.Scale(t.AttnScores(qs[tt], K, T), scale)
 			alpha := t.SoftmaxRowsMasked(scores, flat)
 			ctx := t.WeightedSum(alpha, V, H)
@@ -129,6 +138,7 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 				ff = t.Dropout(ff, m.Cfg.Dropout, m.rng.Float64)
 			}
 			next[tt] = t.LayerNorm(t.Add(h1, ff), layer.ln2Gain, layer.ln2Bias)
+			t.ReleaseSince(mark, next[tt])
 		}
 		xs = next
 	}
