@@ -27,10 +27,12 @@ import "sync"
 // kernels_test.go.
 //
 // On amd64 hosts with AVX2 the all-nonzero band fast path and axpy
-// dispatch to vector micro-kernels (kernels_amd64.s). Those use
-// separate VMULPD/VADDPD — never FMA, whose single rounding would
-// diverge from the scalar kernels — so each SIMD lane executes exactly
-// the scalar op sequence and the bitwise contract below is preserved.
+// dispatch to vector micro-kernels (kernels_amd64.s). Each f64 vector
+// kernel is bitwise equal to its named scalar reference. For these the
+// reference is the scalar kernels, which round every multiply and add,
+// so they use separate VMULPD/VADDPD (an FMA's single rounding would
+// diverge): each SIMD lane executes exactly the scalar op sequence and
+// the bitwise contract below is preserved.
 // Only multi-row (r >= blockDim) calls reach the band kernel: this is
 // what batching beam hypotheses into one GEMM buys, since batch-size-1
 // matvecs never form a band and run one axpy per nonzero coefficient.

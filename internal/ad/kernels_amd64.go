@@ -2,14 +2,17 @@
 
 package ad
 
-// The assembly micro-kernels below vectorize the hot inner loops of the
-// band-fused matmul kernels with AVX2. They use separate VMULPD/VADDPD
-// (never FMA): a fused multiply-add rounds once where scalar Go code
-// rounds twice, so FMA would break the kernels' bitwise contract. With
-// separate ops every SIMD lane performs exactly the scalar sequence
-// out = (out + a0*b0) + a1*b1 on the same IEEE-754 doubles, so the
-// vector path is bitwise-identical to the Go path by construction;
-// TestBandKernelAVX2Bitwise and the kernel oracle enforce it.
+// Each f64 kernel below is bitwise equal to a named scalar reference,
+// on every input. The band and axpy micro-kernels vectorize the hot
+// inner loops of the band-fused matmul kernels with AVX2 and use
+// separate VMULPD/VADDPD (never FMA): their reference is the scalar Go
+// loop, which rounds twice per multiply-add, so with separate ops every
+// SIMD lane performs exactly the scalar sequence
+// out = (out + a0*b0) + a1*b1 on the same IEEE-754 doubles;
+// TestBandKernelAVX2Bitwise and the kernel oracle enforce it. vexpFMA's
+// reference is math.Exp, whose amd64 assembly fuses its multiply-adds
+// under the same AVX+FMA gate, so it uses FMA exactly where math.Exp
+// does (TestExpvMatchesMathExp).
 
 // avxMinC is the minimum row width before band2pAVX2 pays for its call
 // overhead; every model GEMM (gate, projection, vocabulary widths) is
@@ -42,6 +45,16 @@ func axpyAVX2(o, b *float64, s float64, n int)
 //
 //go:noescape
 func ntPanelAVX2(s *[16]float64, a0, a1, a2, a3, panel *float64, k int)
+
+// vexpFMA fills o[i] = math.Exp(x[i]) four lanes at a time for i < n
+// (n a multiple of 4) and returns how many it wrote: it stops before
+// the first 4-element chunk holding a lane outside [-708, 709] or a
+// NaN, leaving that chunk for the caller (expv). Each lane runs
+// math.Exp's FMA path instruction for instruction; consts points at
+// expConsts.
+//
+//go:noescape
+func vexpFMA(o, x *float64, n int, consts *[64]float64) int
 
 // The float32 kernels below serve the f32 inference tier
 // (kernels_f32.go): 8-lane VFMADD231PS, one rounding per multiply-add

@@ -560,3 +560,82 @@ vatail:
 vadone:
 	VZEROUPPER
 	RET
+
+// func vexpFMA(o, x *float64, n int, consts *[64]float64) int
+//
+// 4-lane port of the FMA path of math.Exp (Go's math/exp_amd64.s), so
+// every lane is bitwise equal to math.Exp on hosts where math.Exp takes
+// that path; n is a multiple of 4. consts points at expConsts: 16
+// pre-broadcast 4-lane rows at 32-byte offsets — 0 lo, 32 hi, 64 log2e,
+// 96 ln2u, 128 ln2l, 160 1/16, 192..384 the Taylor coefficients
+// 1/8! .. 1/2!, 416 one, 448 two, 480 the exponent bias (qwords).
+// Only the scalar's finite, normal-result path is ported: a chunk with
+// a lane outside [lo, hi] or NaN (the ordered compares fail) is left
+// unwritten and the kernel returns its offset for the caller to finish
+// with math.Exp. Inside [lo, hi] the exponent n+1023 lies in [1, 2046],
+// so the scalar's ldexp reduces to one multiply by 2^n.
+TEXT ·vexpFMA(SB), NOSPLIT, $0-40
+	MOVQ o+0(FP), R8
+	MOVQ x+8(FP), R9
+	MOVQ n+16(FP), CX
+	MOVQ consts+24(FP), R14
+
+	XORQ DX, DX
+
+vdloop:
+	CMPQ DX, CX
+	JGE  vddone
+	VMOVUPD (R9)(DX*8), Y0          // x
+
+	VCMPPD    $13, (R14), Y0, Y1    // GE_OS: x >= lo
+	VCMPPD    $2, 32(R14), Y0, Y2   // LE_OS: x <= hi
+	VANDPD    Y1, Y2, Y2
+	VMOVMSKPD Y2, AX
+	CMPQ      AX, $15
+	JNE       vddone
+
+	// n = rne(x*log2e); r = (x - n*ln2u - n*ln2l) / 16, fused as in
+	// the scalar's VFNMADD231SD steps.
+	VMULPD       64(R14), Y0, Y1
+	VCVTPD2DQY   Y1, X6             // n, rounded per MXCSR like CVTSD2SL
+	VCVTDQ2PD    X6, Y1
+	VFNMADD231PD 96(R14), Y1, Y0
+	VFNMADD231PD 128(R14), Y1, Y0
+	VMULPD       160(R14), Y0, Y0
+
+	// Taylor series: p = p*r + c, from 1/8! down to one.
+	VMOVUPD     192(R14), Y2
+	VFMADD213PD 224(R14), Y0, Y2
+	VFMADD213PD 256(R14), Y0, Y2
+	VFMADD213PD 288(R14), Y0, Y2
+	VFMADD213PD 320(R14), Y0, Y2
+	VFMADD213PD 352(R14), Y0, Y2
+	VFMADD213PD 384(R14), Y0, Y2
+	VFMADD213PD 416(R14), Y0, Y2
+	VMULPD      Y2, Y0, Y0          // y = r*p = e^r - 1
+
+	// Square back up four times: y = y*(y+2), the last one fused with
+	// the final +1.
+	VADDPD      448(R14), Y0, Y2
+	VMULPD      Y2, Y0, Y0
+	VADDPD      448(R14), Y0, Y2
+	VMULPD      Y2, Y0, Y0
+	VADDPD      448(R14), Y0, Y2
+	VMULPD      Y2, Y0, Y0
+	VADDPD      448(R14), Y0, Y2
+	VFMADD213PD 416(R14), Y2, Y0
+
+	// y * 2^n, with 2^n built from its exponent field.
+	VPMOVSXDQ X6, Y6
+	VPADDQ    480(R14), Y6, Y6
+	VPSLLQ    $52, Y6, Y6
+	VMULPD    Y6, Y0, Y0
+
+	VMOVUPD Y0, (R8)(DX*8)
+	ADDQ    $4, DX
+	JMP     vdloop
+
+vddone:
+	MOVQ DX, ret+32(FP)
+	VZEROUPPER
+	RET

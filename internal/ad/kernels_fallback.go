@@ -22,6 +22,10 @@ func ntPanelAVX2(s *[16]float64, a0, a1, a2, a3, panel *float64, k int) {
 	panic("ad: ntPanelAVX2 called without AVX2 support")
 }
 
+func vexpFMA(o, x *float64, n int, consts *[64]float64) int {
+	panic("ad: vexpFMA called without FMA support")
+}
+
 func band2pFMA32(o0, o1, o2, o3, bp, bq *float32, av *[8]float32, n int) {
 	panic("ad: band2pFMA32 called without FMA support")
 }

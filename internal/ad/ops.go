@@ -98,9 +98,10 @@ func LogSoftmaxRow(row []float64) []float64 {
 }
 
 // LogSoftmaxRow on a tape draws the output buffer from the tape's pool:
-// it lives until the tape's next ReleaseExcept or Reset, so callers in a
-// recycled loop (beam search decode steps) get an allocation-free
-// log-softmax. No gradients are recorded either way.
+// it lives until a ReleaseSince to a mark taken before the call, or the
+// tape's Reset, so callers in a recycled loop (beam search decode steps)
+// get an allocation-free log-softmax. No gradients are recorded either
+// way.
 func (t *Tape) LogSoftmaxRow(row []float64) []float64 {
 	return logSoftmaxRow(t.scratch(len(row)), row)
 }

@@ -179,25 +179,16 @@ func GatherState(t *ad.Tape, s State, idx []int) State {
 
 // Step advances the LSTM one timestep with input x [B, in].
 func (l *LSTM) Step(t *ad.Tape, x *ad.V, s State) State {
-	z := t.Add(t.Add(t.MatMul(x, l.Wx), t.MatMul(s.H, l.Wh)), l.B)
-	H := l.Hidden
-	i := t.Sigmoid(t.SliceCols(z, 0, H))
-	f := t.Sigmoid(t.SliceCols(z, H, 2*H))
-	g := t.Tanh(t.SliceCols(z, 2*H, 3*H))
-	o := t.Sigmoid(t.SliceCols(z, 3*H, 4*H))
-	c := t.Add(t.Mul(f, s.C), t.Mul(i, g))
-	h := t.Mul(o, t.Tanh(c))
-	return State{H: h, C: c}
+	return l.StepMasked(t, x, s, nil)
 }
 
 // StepMasked advances the LSTM but holds state constant for examples
-// whose mask entry is 0 (padding timesteps).
+// whose mask entry is 0 (padding timesteps); a nil mask advances every
+// example. The gate nonlinearities and the state update are one
+// ad.Tape.LSTMCell, which lays z out in NewLSTM's i, f, g, o order.
 func (l *LSTM) StepMasked(t *ad.Tape, x *ad.V, s State, mask []float64) State {
-	next := l.Step(t, x, s)
-	return State{
-		H: t.Blend(next.H, s.H, mask),
-		C: t.Blend(next.C, s.C, mask),
-	}
+	h, c := t.LSTMCell(t.MatMul(x, l.Wx), t.MatMul(s.H, l.Wh), l.B, s.H, s.C, mask)
+	return State{H: h, C: c}
 }
 
 // Adam is the Adam optimizer with global-norm gradient clipping.

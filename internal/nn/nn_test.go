@@ -36,34 +36,52 @@ func TestLinearShapes(t *testing.T) {
 	}
 }
 
+// TestLSTMStep checks the step's shapes, |h| < 1 and the masked-hold
+// rule on a recording tape (the composite ops) and on a pooled forward
+// tape (the fused cell). A masked row holds its state bit for bit even
+// when its input drives every pre-activation to NaN or ±Inf.
 func TestLSTMStep(t *testing.T) {
 	var p Params
 	r := rand.New(rand.NewSource(3))
 	l := NewLSTM(&p, "lstm", r, 4, 6)
-	tape := ad.NewTape()
-	x := ad.New(2, 4)
+	x := ad.New(3, 4)
 	for i := range x.W {
 		x.W[i] = r.NormFloat64()
 	}
-	s := l.ZeroState(2)
-	s1 := l.Step(tape, x, s)
-	if s1.H.R != 2 || s1.H.C != 6 || s1.C.R != 2 {
-		t.Fatalf("state shapes wrong")
-	}
-	// Hidden values bounded by tanh.
-	for _, h := range s1.H.W {
-		if math.Abs(h) >= 1 {
-			t.Errorf("|h| = %g >= 1", h)
+	// Row 2's input holds NaN and ±Inf: a live step there would spread
+	// them through every gate.
+	bad := ad.New(3, 4)
+	copy(bad.W, x.W)
+	copy(bad.W[8:], []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()})
+	for _, tape := range []*ad.Tape{ad.NewTape(), ad.NewForward(ad.NewPool())} {
+		name := "recording"
+		if !tape.Recording() {
+			name = "forward"
 		}
-	}
-	// Masked step holds state for masked example.
-	s2 := l.StepMasked(tape, x, s1, []float64{1, 0})
-	for j := 0; j < 6; j++ {
-		if s2.H.At(1, j) != s1.H.At(1, j) {
-			t.Errorf("masked example state changed")
+		s1 := l.Step(tape, x, l.ZeroState(3))
+		if s1.H.R != 3 || s1.H.C != 6 || s1.C.R != 3 || s1.C.C != 6 {
+			t.Fatalf("%s: state shapes wrong", name)
 		}
-		if s2.H.At(0, j) == s1.H.At(0, j) {
-			t.Errorf("unmasked example state frozen")
+		// Hidden values bounded by tanh.
+		for _, h := range s1.H.W {
+			if math.Abs(h) >= 1 {
+				t.Errorf("%s: |h| = %g >= 1", name, h)
+			}
+		}
+		// Masked step holds state for masked examples, bit for bit.
+		s2 := l.StepMasked(tape, bad, s1, []float64{1, 0, 0})
+		for i := 1; i < 3; i++ {
+			for j := 0; j < 6; j++ {
+				if math.Float64bits(s2.H.At(i, j)) != math.Float64bits(s1.H.At(i, j)) ||
+					math.Float64bits(s2.C.At(i, j)) != math.Float64bits(s1.C.At(i, j)) {
+					t.Errorf("%s: masked example %d state changed", name, i)
+				}
+			}
+		}
+		for j := 0; j < 6; j++ {
+			if s2.H.At(0, j) == s1.H.At(0, j) {
+				t.Errorf("%s: unmasked example state frozen", name)
+			}
 		}
 	}
 }

@@ -445,10 +445,13 @@ func benchSrc(r *rand.Rand, v *Vocab, n int) []string {
 
 // benchmarkModel builds an untrained model at the paper's configured
 // scale — DefaultConfig shapes (Hidden 64, Embed 48) over ~500-subword
-// vocabularies and a 60-token source — so decode steps are dominated by
-// the same GEMMs as real inference (the out-projection in particular).
-// Untrained weights keep every beam alive to maxTgtLen, making the
-// decode work fixed across runs.
+// vocabularies and a 60-token source — so each step runs the same GEMM
+// shapes as real inference. Untrained weights keep every beam alive to
+// maxTgtLen, making the decode work fixed across runs; that also
+// weights decode steps (the out-projection above all) far more heavily
+// than a trained model does, whose beams mostly stop after a few
+// tokens. On the trained model of snowwhite ingest the BiLSTM
+// encoder's timesteps are most of the time (BenchmarkEncode).
 func benchmarkModel(maxTgtLen int) (*Model, []string) {
 	return benchmarkModelEncoder(maxTgtLen, EncoderBiLSTM)
 }
@@ -502,6 +505,42 @@ func BenchmarkPredict(b *testing.B) {
 			b.ReportMetric(perSearch, "ns/search")
 		})
 	}
+}
+
+// BenchmarkEncode measures the BiLSTM encoder alone on benchGroup's
+// sources: each iteration encodes the group as one padded batch on a
+// pooled forward tape, as predictMultiOn does, and returns everything
+// to the pool. The metric is ns/search, comparable with
+// BenchmarkPredict's. Eight sources of 48–72 tokens are close to what
+// snowwhite ingest encodes per call (bench/run.sh's traced ingest run
+// measures 67.5 subwords per element and 10.4 searches per call).
+func BenchmarkEncode(b *testing.B) {
+	m, srcs := benchGroup(8)
+	padded := make([][]int, len(srcs))
+	Tmax := 0
+	for i, src := range srcs {
+		padded[i] = m.Src.Encode(truncate(src, m.Cfg.MaxSrcLen))
+		Tmax = max(Tmax, len(padded[i]))
+	}
+	for i, ids := range padded {
+		padded[i] = pad(ids, Tmax)
+	}
+	pool := ad.NewPool()
+	tape := ad.NewForward(pool)
+	encode := func() {
+		mark := tape.Mark()
+		m.encode(tape, padded, false)
+		tape.ReleaseSince(mark)
+	}
+	encode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode()
+	}
+	b.StopTimer()
+	perSearch := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(srcs))
+	b.ReportMetric(perSearch, "ns/search")
 }
 
 // BenchmarkPredictReference measures the old recording-tape beam search

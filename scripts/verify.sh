@@ -16,6 +16,13 @@ echo "== go vet =="
 go vet ./...
 echo "== go build =="
 go build ./...
+echo "== non-amd64 build and pure-Go kernels =="
+# The assembly kernels exist only on amd64; every other port links the
+# stubs in kernels_fallback.go, which go vet on amd64 never compiles.
+# 386 runs on amd64 hosts, so its tests exercise the pure-Go kernels and
+# the pure-Go math.Exp that the f64 kernels are pinned to.
+GOARCH=arm64 go build ./...
+GOARCH=386 go test ./internal/ad ./internal/nn
 echo "== go test -race =="
 # The race detector slows model training ~10x; on a single-core host the
 # core suite alone exceeds go test's default 10m budget, so be explicit.
@@ -38,7 +45,7 @@ echo "== batched-predict determinism + buffer recycling + server batcher (-count
 # A recycled tape buffer that is still referenced shows up here as a
 # prediction that differs from the recording-tape reference or between
 # the two runs.
-go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise|TestPredictRecycledEncoderMatchesReference|TestPredictAllocsFlatInSourceLength|TestReleaseSince' \
+go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise|TestPredictRecycledEncoderMatchesReference|TestPredictAllocsFlatInSourceLength|TestReleaseSince|TestExpvMatchesMathExp|TestTanhExpMatchesMathTanh|TestLSTMCell' \
 	./internal/seq2seq ./internal/ad
 go test -race -count=2 -run 'TestBatcher|TestServerBatcherStress' ./internal/server
 echo "== fuzz seed corpora (no mutation; smoke-checks the native targets) =="
