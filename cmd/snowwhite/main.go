@@ -23,8 +23,8 @@
 //
 //	snowwhite predict {-model model.bin | -packages N} -file {prog.c | bin.wasm} [-func NAME] [-k N]
 //	snowwhite ingest  {-model model.bin | -packages N} {-file bin.wasm | -dir DIR} [-eval] [-k N] [-j N] [-precision f64|f32] [-out report.json]
-//	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-batch N] [-batch-wait D] [-f32] [-f32-model model.qbin] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
-//	snowwhite bench-serve -addr host:port -file bin.wasm [-qps N] [-duration D] [-sweep "10,50,100"] [-out BENCH_predict.json]
+//	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-batch N] [-batch-wait D] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
+//	snowwhite bench-serve -addr host:port {-file bin.wasm | -ready} [-func NAME] [-k N] [-precision f64|f32] [-model NAME] [-qps N] [-duration D] [-sweep "10,50,100"] [-label L] [-max-failures N] [-merge-into BENCH_predict.json] [-cpuprofile F] [-memprofile F]
 //	snowwhite export  -model model.bin -out model.qbin [-quantize int8|f32]
 //	snowwhite acctest {-model model.bin | -packages N} -dir DIR [-quantize int8|f32] [-cand-model model.qbin] [-k N] [-budget 0.99]
 //	snowwhite table1                                      Table 1
@@ -53,17 +53,18 @@
 // beam decodes: up to -batch queries (default 8) share one decoder GEMM
 // per step, and a non-full batch waits at most -batch-wait (default 2ms)
 // for stragglers; a lone request never waits. -batch 1 disables batching.
-// With -f32 (or -f32-model) the server additionally loads a
+// Every model also answers requests that opt in with precision=f32 on the
 // single-precision engine — float32 weights, f32 tapes, and 8-lane
-// kernels — that answers requests opting in with precision=f32; it comes
-// from -f32-model when given, otherwise from the f32 quantization of the
-// primary model loaded straight into float32 storage, halving that
-// engine's resident weights. -pprof-addr exposes net/http/pprof on a
-// separate listener (off by default).
+// kernels — from a float32 copy of its weights made when it is
+// registered; a quantized model decodes every request there.
+// -pprof-addr exposes net/http/pprof on a separate listener (off by
+// default).
 //
-// The server is a multi-model registry: -add-model registers further
-// models (POST /v1/models/{name}/predict routes to them; /v1/predict
-// serves the primary), the /v1/models admin API loads, swaps, and removes
+// The server is a multi-model registry: -add-model name=path registers
+// further models, in either file format (POST /v1/models/{name}/predict
+// routes to them; /v1/predict serves the primary; int8 weights serve by
+// registering their quantized file under a name of their own), the
+// /v1/models admin API loads, swaps, and removes
 // models at runtime, and SIGHUP hot-swaps every disk-backed model with
 // zero downtime — in-flight decodes on the old weights drain to
 // completion while new requests already run on the new ones. With
@@ -517,28 +518,11 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-// parseModelSpec parses one -add-model value:
-// name=path[,f32=quantized.qbin][,f32-quantize=int8|f32].
+// parseModelSpec parses one -add-model value: name=path.
 func parseModelSpec(spec string) (name string, src server.ModelSource, err error) {
-	eq := strings.IndexByte(spec, '=')
-	if eq <= 0 {
-		return "", src, fmt.Errorf("invalid -add-model %q (want name=path[,f32=F][,f32-quantize=M])", spec)
-	}
-	name = spec[:eq]
-	parts := strings.Split(spec[eq+1:], ",")
-	src.Path = parts[0]
-	for _, p := range parts[1:] {
-		switch {
-		case strings.HasPrefix(p, "f32="):
-			src.F32Path = strings.TrimPrefix(p, "f32=")
-		case strings.HasPrefix(p, "f32-quantize="):
-			src.F32Quantize = strings.TrimPrefix(p, "f32-quantize=")
-		default:
-			return "", src, fmt.Errorf("invalid -add-model option %q in %q", p, spec)
-		}
-	}
-	if src.Path == "" {
-		return "", src, fmt.Errorf("invalid -add-model %q: empty path", spec)
+	name, src.Path, _ = strings.Cut(spec, "=")
+	if name == "" || src.Path == "" {
+		return "", src, fmt.Errorf("invalid -add-model %q (want name=path)", spec)
 	}
 	return name, src, nil
 }
@@ -561,31 +545,14 @@ func runServe(args []string) error {
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 	batch := fs.Int("batch", 8, "max queries coalesced per batched beam decode (<=1 disables)")
 	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max time a non-full batch waits for stragglers")
-	f32 := fs.Bool("f32", false, "also serve a single-precision engine for requests with precision=f32")
-	f32Model := fs.String("f32-model", "", "quantized model file for the f32 engine (default: in-memory f32 quantization of the primary model; implies -f32)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	var addModels multiFlag
-	fs.Var(&addModels, "add-model", "register an extra model: name=path[,f32=F][,f32-quantize=M] (repeatable)")
+	fs.Var(&addModels, "add-model", "register an extra model: name=path, either model format (repeatable)")
 	fs.Parse(args)
 
 	p, err := loadOrTrain(*modelPath, opts)
 	if err != nil {
 		return err
-	}
-	defSrc := server.ModelSource{Path: *modelPath}
-	var f32Pred *core.Predictor
-	if *f32Model != "" {
-		if f32Pred, err = core.LoadQuantizedPredictor(*f32Model); err != nil {
-			return err
-		}
-		defSrc.F32Path = *f32Model
-		logLine("loaded f32 predictor from " + *f32Model)
-	} else if *f32 {
-		if f32Pred, err = core.QuantizePredictor(p, quant.F32); err != nil {
-			return err
-		}
-		defSrc.F32Quantize = string(quant.F32)
-		logLine("f32 engine ready (in-memory f32 quantization, float32-resident weights)")
 	}
 	if *pprofAddr != "" {
 		// pprof lives on its own mux and listener so profiling endpoints
@@ -613,8 +580,7 @@ func runServe(args []string) error {
 		BatchSize:      *batch,
 		BatchWait:      *batchWait,
 		DefaultModel:   *modelName,
-		F32Pred:        f32Pred,
-	}, defSrc)
+	}, server.ModelSource{Path: *modelPath})
 	if err != nil {
 		return err
 	}

@@ -27,11 +27,11 @@ type cacheKey struct {
 	fn    [32]byte
 	elem  string
 	k     int
-	// engine separates the precision tiers' entries even when their
-	// weights fingerprint identically (an f32 in-memory quantization):
-	// "" is the model's primary engine, "f32" its single-precision
-	// sibling. Each tier's kernels may rank types differently, so a
-	// request must never be answered from another tier's entry.
+	// engine separates the precision tiers' entries, which share the
+	// model's fingerprint: "" is the model's primary engine, "f32" the
+	// f32 engine of an f64 model. Each tier's kernels may rank types
+	// differently, so a request must never be answered from another
+	// tier's entry.
 	engine string
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,18 +17,19 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/quant"
 )
 
-// f32State caches the f32-engine counterpart of the shared test
-// predictor.
+// f32State caches the f32 quantization of the shared test predictor: a
+// float32-resident predictor, like a quantized file.
 var f32State struct {
 	once sync.Once
 	pred *core.Predictor
 	err  error
 }
 
-func testF32Predictor(t testing.TB) *core.Predictor {
+func testF32Resident(t testing.TB) *core.Predictor {
 	t.Helper()
 	pred, _ := testPredictor(t)
 	f32State.once.Do(func() {
@@ -39,17 +41,11 @@ func testF32Predictor(t testing.TB) *core.Predictor {
 	return f32State.pred
 }
 
-func newF32TestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	cfg.F32Pred = testF32Predictor(t)
-	return newTestServer(t, cfg)
-}
-
-// TestF32Routing covers the precision=f32 opt-in across both request
-// encodings, the echo of the precision in the response, and rejection
-// when no f32 engine is loaded.
+// TestF32Routing covers the precision=f32 opt-in on a server configured
+// with nothing but its model, across both request encodings, and the
+// echo of the precision in the response.
 func TestF32Routing(t *testing.T) {
-	_, ts := newF32TestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	_, bin := testPredictor(t)
 
 	resp, body := postWasm(t, ts.URL, bin, "func=first&k=3&precision=f32")
@@ -110,7 +106,8 @@ func TestF32Routing(t *testing.T) {
 // TestF32QuantizedPrimaryReportsPrecision: a name whose primary file is
 // quantized (SWQP1) decodes on the f32 engine, so a plain request —
 // no precision selector — must report "f32", not the request's tier.
-// precision=f32 needs no sibling there: the primary itself answers it.
+// precision=f32 is answered by the primary itself, from the same cache
+// entries.
 func TestF32QuantizedPrimaryReportsPrecision(t *testing.T) {
 	pred, bin := testPredictor(t)
 	path := filepath.Join(t.TempDir(), "model.qbin")
@@ -137,11 +134,6 @@ func TestF32QuantizedPrimaryReportsPrecision(t *testing.T) {
 	if pr := decodeResponse(t, body); pr.Precision != "f32" || pr.CacheHits != len(pr.Functions[0].Elements) {
 		t.Errorf("precision=f32 answered at %q with %d cache hits, want f32 from the primary's entries", pr.Precision, pr.CacheHits)
 	}
-	for _, st := range s.Models() {
-		if st.Name == "q8" && !st.F32 {
-			t.Error("model status does not report that q8 accepts precision=f32")
-		}
-	}
 }
 
 // TestFastMathRouting: the fast-math engine is gone. fast=true, as a
@@ -149,7 +141,7 @@ func TestF32QuantizedPrimaryReportsPrecision(t *testing.T) {
 // message points to precision=f32 — never a silent full-precision
 // answer. fast=false stays harmless and a malformed flag is still a 400.
 func TestFastMathRouting(t *testing.T) {
-	_, ts := newF32TestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	_, bin := testPredictor(t)
 
 	for _, q := range []string{"func=first&k=3&fast=true", "fast=true&precision=f32", "fast=maybe"} {
@@ -185,10 +177,10 @@ func TestFastMathRouting(t *testing.T) {
 }
 
 // TestFastMathUnavailable: fast=true is rejected the same way on a
-// server with no f32 sibling either — the 400 does not depend on which
-// engines are loaded.
+// server whose model is float32-resident, where the primary is the f32
+// engine — the 400 does not depend on which engines the model has.
 func TestFastMathUnavailable(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServerFor(t, testF32Resident(t), Config{})
 	_, bin := testPredictor(t)
 	resp, body := postWasm(t, ts.URL, bin, "fast=true")
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "precision=f32") {
@@ -196,21 +188,49 @@ func TestFastMathUnavailable(t *testing.T) {
 	}
 }
 
-// TestF32Unavailable: precision=f32 against a server without an f32
-// engine is a client error, not a silent fallback.
-func TestF32Unavailable(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	_, bin := testPredictor(t)
-	resp, body := postWasm(t, ts.URL, bin, "precision=f32")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, body)
+// TestF32EveryModel: precision=f32 needs no configuration. The default
+// model, a model registered in memory and one loaded from an f64 file
+// each decode it on their own f32 engine (no cache: the three share a
+// fingerprint), and the answers agree because the weights do.
+func TestF32EveryModel(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheSize: -1})
+	pred, bin := testPredictor(t)
+	if err := s.RegisterModel("mem", pred, ModelSource{}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := core.SavePredictor(pred, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadModel("disk", ModelSource{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, model := range []string{"default", "mem", "disk"} {
+		resp, body := postWasm(t, ts.URL, bin, "k=3&precision=f32&model="+model)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200; body %s", model, resp.StatusCode, body)
+		}
+		pr := decodeResponse(t, body)
+		if pr.Precision != "f32" || pr.Model != model {
+			t.Errorf("%s: answered by model %q at precision %q", model, pr.Model, pr.Precision)
+		}
+		got := fmt.Sprint(pr.Functions)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("%s: f32 answers differ from the default model's:\n%s\n%s", model, got, want)
+		}
 	}
 }
 
-// TestHealthzReportsF32: readiness tells clients whether precision=f32
-// will be accepted, and /v1/models lists the sibling.
+// TestHealthzReportsF32: readiness no longer tells clients whether
+// precision=f32 will be accepted, because it always is. Neither an f64
+// model nor a float32-resident one reports an f32 (or fast_math) field,
+// and both answer precision=f32.
 func TestHealthzReportsF32(t *testing.T) {
-	check := func(url string, want bool) {
+	_, bin := testPredictor(t)
+	check := func(url string) {
 		t.Helper()
 		resp, err := http.Get(url + "/healthz")
 		if err != nil {
@@ -221,20 +241,86 @@ func TestHealthzReportsF32(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := h["f32"].(bool); got != want {
-			t.Errorf("f32 = %v, want %v", got, want)
+		for _, gone := range []string{"f32", "fast_math"} {
+			if _, ok := h[gone]; ok {
+				t.Errorf("healthz still reports %q", gone)
+			}
 		}
-		if _, ok := h["fast_math"]; ok {
-			t.Error("healthz still reports the removed fast_math engine")
+		presp, body := postWasm(t, url, bin, "precision=f32")
+		if presp.StatusCode != http.StatusOK {
+			t.Fatalf("precision=f32: status = %d, want 200; body %s", presp.StatusCode, body)
+		}
+		if pr := decodeResponse(t, body); pr.Precision != "f32" {
+			t.Errorf("precision=f32 answered at precision %q", pr.Precision)
 		}
 	}
-	_, full := newTestServer(t, Config{})
-	check(full.URL, false)
-	s, f32 := newF32TestServer(t, Config{})
-	check(f32.URL, true)
-	models := s.Models()
-	if len(models) != 1 || !models[0].F32 {
-		t.Errorf("model status = %+v, want F32", models)
+	_, plain := newTestServer(t, Config{})
+	check(plain.URL)
+	_, resident := newTestServerFor(t, testF32Resident(t), Config{})
+	check(resident.URL)
+}
+
+// TestF32SameAnswers pins what precision=f32 computes on an f64 model: a
+// server given nothing but the model answers every function at every k
+// bit for bit like (a) a server whose primary is the f32 quantization of
+// the model, and (b) an in-process decode of a separately loaded copy
+// switched to f32 with SetPrecision.
+func TestF32SameAnswers(t *testing.T) {
+	pred, bin := testPredictor(t)
+	_, plain := newTestServer(t, Config{})
+	_, quantized := newTestServerFor(t, testF32Resident(t), Config{})
+
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := core.SavePredictor(pred, path); err != nil {
+		t.Fatal(err)
+	}
+	copied, err := core.LoadPredictor(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*core.Trained{copied.Param, copied.Return} {
+		if err := tr.Model.SetPrecision("f32"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ld, err := ingest.Load(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	answers := func(url string, k int) []FunctionResult {
+		t.Helper()
+		resp, body := postWasm(t, url, bin, fmt.Sprintf("k=%d&precision=f32", k))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: status = %d, body %s", k, resp.StatusCode, body)
+		}
+		pr := decodeResponse(t, body)
+		if pr.Precision != "f32" {
+			t.Errorf("k=%d: response precision = %q, want f32", k, pr.Precision)
+		}
+		if len(pr.Functions) != len(ld.Funcs) {
+			t.Fatalf("k=%d: %d functions answered, want %d", k, len(pr.Functions), len(ld.Funcs))
+		}
+		return pr.Functions
+	}
+	for _, k := range []int{1, 3, 5} {
+		got, want := answers(plain.URL, k), answers(quantized.URL, k)
+		for i, fn := range got {
+			if len(fn.Elements) == 0 {
+				t.Fatalf("k=%d %s: no elements answered", k, fn.Name)
+			}
+			if !reflect.DeepEqual(fn.Elements, want[i].Elements) {
+				t.Errorf("k=%d %s: differs from a primary quantized to f32:\n%v\n%v", k, fn.Name, fn.Elements, want[i].Elements)
+			}
+			lf := &ld.Funcs[fn.Index]
+			for _, el := range lf.Elements {
+				src := copied.Input(ld.Decoded.Module, lf.Index, el)
+				ref := copied.ModelFor(el).PredictTyped([][]string{src}, []int{k})[0]
+				if !reflect.DeepEqual(fn.Elements[el.Name], ref) {
+					t.Errorf("k=%d %s.%s: served %v, in-process f32 decode %v", k, fn.Name, el.Name, fn.Elements[el.Name], ref)
+				}
+			}
+		}
 	}
 }
 
@@ -242,7 +328,7 @@ func TestHealthzReportsF32(t *testing.T) {
 // requests from the cache (or vice versa), even for the same function
 // and k — the tiers may rank types differently.
 func TestF32CacheIsolation(t *testing.T) {
-	_, ts := newF32TestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	_, bin := testPredictor(t)
 
 	_, body := postWasm(t, ts.URL, bin, "func=first&k=3")
@@ -267,7 +353,7 @@ func TestF32CacheIsolation(t *testing.T) {
 // TestF32Deterministic: repeated f32 requests through the batcher return
 // byte-identical predictions.
 func TestF32Deterministic(t *testing.T) {
-	_, ts := newF32TestServer(t, Config{CacheSize: -1})
+	_, ts := newTestServer(t, Config{CacheSize: -1})
 	_, bin := testPredictor(t)
 	_, first := postWasm(t, ts.URL, bin, "func=first&k=3&precision=f32")
 	_, second := postWasm(t, ts.URL, bin, "func=first&k=3&precision=f32")
@@ -291,7 +377,6 @@ func TestF32MixedStressShutdown(t *testing.T) {
 		BatchSize:      4,
 		BatchWait:      time.Millisecond,
 		RequestTimeout: 2 * time.Minute,
-		F32Pred:        testF32Predictor(t),
 	}
 	s, err := New(pred, cfg)
 	if err != nil {

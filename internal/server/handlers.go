@@ -33,10 +33,10 @@ type predictEnvelope struct {
 	// instead of being silently served at full precision.
 	Fast bool `json:"fast,omitempty"`
 	// Precision routes the request to a precision tier: "f32" selects the
-	// model's single-precision engine (float32 tapes and 8-lane kernels),
-	// "" or "f64" the default. "f32" reaches the model's f32 sibling, or
-	// its primary when that already decodes on f32 (a quantized file);
-	// rejected with 400 when the model has neither.
+	// model's single-precision engine (float32 weights and tapes, 8-lane
+	// kernels), "" or "f64" the default. Every model has an f32 engine; a
+	// model whose primary already decodes on f32 (a quantized file)
+	// answers every request on it.
 	Precision string `json:"precision,omitempty"`
 	// Model names the registry model to serve the request; empty means
 	// the server's default. A {model} path segment takes precedence.
@@ -95,15 +95,8 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	f32 := false
-	if es, err := s.acquireModel(""); err == nil {
-		eng, _ := es.f32Engine()
-		f32 = eng != nil
-		es.release()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"f32":     f32,
 		"default": s.DefaultModel(),
 		"models":  len(s.reg.names()),
 	})
@@ -123,17 +116,20 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModelPut serves PUT /v1/models/{model}: load (or hot-swap) a
-// model from disk. The body is a JSON ModelSource.
+// model from disk. The body is a JSON ModelSource; an unknown field is a
+// 400 naming it, so a misspelled or retired option is never dropped
+// silently.
 func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("model")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
 	var src ModelSource
-	if err := json.Unmarshal(body, &src); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	err := dec.Decode(&src)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("data after the JSON object")
+	}
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "invalid model source: %v", err)
 		return
 	}
 	if err := s.LoadModel(name, src); err != nil {
@@ -292,12 +288,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// after every element below has decoded.
 	defer es.release()
 	es.pm.requests.Inc()
-	eng, tier := &es.full, ""
+	eng := &es.full
 	if precision == "f32" {
-		if eng, tier = es.f32Engine(); eng == nil {
-			s.writeError(w, http.StatusBadRequest, "precision=f32 but model %q has no f32 engine", es.name)
-			return
-		}
+		eng = es.f32
 	}
 	ld, err := ingest.Load(bin)
 	if err != nil {
@@ -331,7 +324,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			fn := &ld.Funcs[fi]
-			elems, hits, err := s.predictFunc(ctx, es.pm, eng, tier, ld.Decoded.Module, fn, k)
+			elems, hits, err := s.predictFunc(ctx, es.pm, eng, ld.Decoded.Module, fn, k)
 			resp.CacheHits += hits
 			if err != nil {
 				predictErr = err

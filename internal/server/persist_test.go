@@ -2,13 +2,19 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ingest"
+	"repro/internal/quant"
 )
 
 // fillCache populates a cache with n distinct entries plus one
@@ -162,6 +168,90 @@ func TestCacheLogSkipsLegacyFastEntries(t *testing.T) {
 	if bytes.Contains(b, []byte("fast")) {
 		t.Errorf("snapshot still carries a fast-tier entry:\n%s", b)
 	}
+}
+
+// TestCacheLogParentFormatReplay replays a log written before every
+// model had its own f32 engine, in that writer's record layout. Entries
+// of an f64 primary and of a quantized primary keep their keys and hit.
+// Entries an f32 sibling wrote under its own fingerprint are never
+// reached: precision=f32 on the f64 model misses once, then hits the
+// entries its f32 engine wrote.
+func TestCacheLogParentFormatReplay(t *testing.T) {
+	pred, bin := testPredictor(t)
+	q8, err := core.QuantizePredictor(pred, quant.Int8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fingerprint := func(p *core.Predictor) string {
+		t.Helper()
+		fp, err := core.FingerprintPredictor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(fp[:])
+	}
+	ld, err := ingest.Load(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, ok := ld.Lookup("first")
+	if !ok {
+		t.Fatal("test binary has no function first")
+	}
+	fn := &ld.Funcs[fi]
+	fh := funcHash(ld.Decoded.Module, fn.Index)
+	var log strings.Builder
+	for _, el := range fn.Elements {
+		for _, r := range []struct{ model, engine, text string }{
+			{fingerprint(pred), "", "logged f64"},
+			{fingerprint(testF32Resident(t)), `,"engine":"f32"`, "logged sibling"},
+			{fingerprint(q8), "", "logged q8"},
+		} {
+			fmt.Fprintf(&log, `{"model":%q,"fn":%q,"elem":%q,"k":3%s,"preds":[{"tokens":[%q],"text":%q}]}`+"\n",
+				r.model, hex.EncodeToString(fh[:]), el.Name, r.engine, r.text, r.text)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	if err := os.WriteFile(path, []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(pred, Config{CachePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got, want := s.met.cacheLoaded.Value(), int64(3*len(fn.Elements)); got != want {
+		t.Fatalf("replayed %d entries, want %d", got, want)
+	}
+	if err := s.RegisterModel("q8", q8, ModelSource{}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(query string, wantHits int, wantText string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict?func=first&k=3&"+query, bytes.NewReader(bin))
+		req.Header.Set("Content-Type", "application/wasm")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, rec.Code, rec.Body.String())
+		}
+		pr := decodeResponse(t, rec.Body.Bytes())
+		if pr.CacheHits != wantHits {
+			t.Errorf("%s: cache_hits = %d, want %d", query, pr.CacheHits, wantHits)
+		}
+		for name, ps := range pr.Functions[0].Elements {
+			if got := ps[0].Text; (wantText != "" && got != wantText) || got == "logged sibling" {
+				t.Errorf("%s: %s answered %q, want %q", query, name, got, wantText)
+			}
+		}
+	}
+	all := len(fn.Elements)
+	check("precision=f64", all, "logged f64")
+	check("model=q8", all, "logged q8")
+	check("model=q8&precision=f32", all, "logged q8")
+	check("precision=f32", 0, "")
+	check("precision=f32", all, "")
 }
 
 // TestServerWarmStart is the end-to-end persistence property: a server

@@ -37,43 +37,24 @@ type ModelSource struct {
 	// Path is the predictor file (either on-disk format; a quantized
 	// file serves on the f32 engine).
 	Path string `json:"path,omitempty"`
-	// F32Path is a quantized predictor file loaded straight into float32
-	// storage and served to precision=f32 requests alongside this model.
-	F32Path string `json:"f32_path,omitempty"`
-	// F32Quantize, when non-empty ("int8" or "f32") and F32Path is unset,
-	// derives the f32 sibling by round-tripping the loaded model through
-	// that quantization mode in memory, landing the weights on the f32
-	// engine.
-	F32Quantize string `json:"f32_quantize,omitempty"`
 }
 
-// engineSet is one loaded version of one named model: the primary
-// engine, its optional f32 sibling, and the refcount machinery the
-// hot-swap drain rides on.
+// engineSet is one loaded version of one named model: its two engines
+// and the refcount machinery the hot-swap drain rides on.
 type engineSet struct {
 	name    string
 	version uint64
 	src     ModelSource
-	full    engine
-	f32     *engine
-	pm      *modelMetrics
+	// full answers plain and precision=f64 requests; f32 answers
+	// precision=f32. f32 is a float32 copy of full's weights, or full
+	// itself when full already decodes on f32 (a quantized file).
+	full engine
+	f32  *engine
+	pm   *modelMetrics
 
 	refs    atomic.Int64
 	retired atomic.Bool
 	drained chan struct{} // buffered 1: signaled on refs 0-transition after retirement
-}
-
-// f32Engine returns the engine and cache tier precision=f32 requests
-// decode on: the f32 sibling, or else the primary itself when it already
-// decodes on f32 (a quantized file). nil means the model has neither.
-func (es *engineSet) f32Engine() (*engine, string) {
-	switch {
-	case es.f32 != nil:
-		return es.f32, "f32"
-	case es.full.precision == "f32":
-		return &es.full, ""
-	}
-	return nil, ""
 }
 
 // release undoes one acquire; the last release of a retired set wakes
@@ -95,16 +76,9 @@ func (es *engineSet) drain() {
 	for es.refs.Load() != 0 {
 		<-es.drained
 	}
-	for _, e := range []*engine{&es.full, es.f32} {
-		if e == nil {
-			continue
-		}
-		if e.paramBatch != nil {
-			e.paramBatch.close()
-		}
-		if e.returnBatch != nil {
-			e.returnBatch.close()
-		}
+	es.full.close()
+	if es.f32 != &es.full {
+		es.f32.close()
 	}
 }
 
@@ -179,25 +153,32 @@ func (s *Server) acquireModel(name string) (*engineSet, error) {
 	}
 }
 
-// newEngineSet wires one loaded model (and an optional f32 sibling) with
-// batchers, fingerprints, and the entry's metrics.
-func (s *Server) newEngineSet(name string, pred, f32Pred *core.Predictor, src ModelSource, pm *modelMetrics) (*engineSet, error) {
+// newEngineSet wires one loaded model with its engines, batchers, and
+// the entry's metrics. A model that decodes on f64 gets an f32 engine of
+// its own: the f32 quantization of its weights (float32(w) per weight,
+// held in float32 storage). Each registration quantizes afresh, so two
+// versions of one in-memory predictor never share float32 tensors. The
+// f32 engine keeps the primary's fingerprint; its cache entries stay
+// apart under the engine tier "f32".
+func (s *Server) newEngineSet(name string, pred *core.Predictor, src ModelSource, pm *modelMetrics) (*engineSet, error) {
 	if pred == nil || (pred.Param == nil && pred.Return == nil) {
 		return nil, fmt.Errorf("server: model %q has no task models", name)
 	}
-	es := &engineSet{name: name, src: src, pm: pm, drained: make(chan struct{}, 1)}
-	var err error
-	if es.full, err = s.newEngine(pred); err != nil {
-		return nil, fmt.Errorf("server: model %q: %w", name, err)
+	fp, err := core.FingerprintPredictor(pred)
+	if err != nil {
+		return nil, fmt.Errorf("server: model %q: fingerprint: %w", name, err)
 	}
+	var f32Pred *core.Predictor
+	if predictorPrecision(pred) != "f32" {
+		if f32Pred, err = core.QuantizePredictor(pred, quant.F32); err != nil {
+			return nil, fmt.Errorf("server: model %q: f32 engine: %w", name, err)
+		}
+	}
+	es := &engineSet{name: name, src: src, pm: pm, drained: make(chan struct{}, 1)}
+	es.full = s.newEngine(pred, fp, "")
+	es.f32 = &es.full
 	if f32Pred != nil {
-		if f32Pred.Param == nil && f32Pred.Return == nil {
-			return nil, fmt.Errorf("server: model %q: f32 predictor has no task models", name)
-		}
-		fe, err := s.newEngine(f32Pred)
-		if err != nil {
-			return nil, fmt.Errorf("server: model %q f32 sibling: %w", name, err)
-		}
+		fe := s.newEngine(f32Pred, fp, "f32")
 		es.f32 = &fe
 	}
 	return es, nil
@@ -209,7 +190,7 @@ func (s *Server) newEngineSet(name string, pred, f32Pred *core.Predictor, src Mo
 // version's in-flight decodes drain to completion; only then are its
 // dispatchers stopped and the model released. src records how to reload
 // the name from disk (zero value: not reloadable).
-func (s *Server) RegisterModel(name string, pred, f32Pred *core.Predictor, src ModelSource) error {
+func (s *Server) RegisterModel(name string, pred *core.Predictor, src ModelSource) error {
 	if name == "" {
 		return errors.New("server: empty model name")
 	}
@@ -221,7 +202,7 @@ func (s *Server) RegisterModel(name string, pred, f32Pred *core.Predictor, src M
 	}
 	s.reg.mu.Unlock()
 
-	es, err := s.newEngineSet(name, pred, f32Pred, src, e.pm)
+	es, err := s.newEngineSet(name, pred, src, e.pm)
 	if err != nil {
 		return err
 	}
@@ -239,8 +220,7 @@ func (s *Server) RegisterModel(name string, pred, f32Pred *core.Predictor, src M
 // LoadModel loads a model from disk per src and registers (or hot-swaps)
 // it under name. Either on-disk predictor format is accepted; quantized
 // files come back on the f32 engine but still serve as the name's
-// primary engine. The precision=f32 sibling comes from src.F32Path, or
-// from an in-memory quantization when src.F32Quantize is set.
+// primary engine.
 func (s *Server) LoadModel(name string, src ModelSource) error {
 	if src.Path == "" {
 		return fmt.Errorf("server: model %q: no path to load from", name)
@@ -249,22 +229,7 @@ func (s *Server) LoadModel(name string, src ModelSource) error {
 	if err != nil {
 		return fmt.Errorf("server: load model %q: %w", name, err)
 	}
-	var f32Pred *core.Predictor
-	switch {
-	case src.F32Path != "":
-		if f32Pred, err = core.LoadQuantizedPredictor(src.F32Path); err != nil {
-			return fmt.Errorf("server: load model %q f32 sibling: %w", name, err)
-		}
-	case src.F32Quantize != "":
-		mode, err := quant.ParseMode(src.F32Quantize)
-		if err != nil {
-			return fmt.Errorf("server: model %q: %w", name, err)
-		}
-		if f32Pred, err = core.QuantizePredictor(pred, mode); err != nil {
-			return fmt.Errorf("server: quantize model %q for f32: %w", name, err)
-		}
-	}
-	return s.RegisterModel(name, pred, f32Pred, src)
+	return s.RegisterModel(name, pred, src)
 }
 
 // RemoveModel unregisters a name and drains its engines. The default
@@ -315,13 +280,11 @@ type ModelStatus struct {
 	Name    string `json:"name"`
 	Default bool   `json:"default"`
 	Version uint64 `json:"version"`
-	// Fingerprint is the hex content hash of the primary engine's
-	// predictor — the namespace its cache entries live under.
-	Fingerprint string `json:"fingerprint"`
-	// F32 reports whether the model accepts precision=f32: it has an f32
-	// sibling engine, or its primary decodes on f32.
-	F32    bool        `json:"f32"`
-	Source ModelSource `json:"source,omitempty"`
+	// Fingerprint is the hex content hash of the registered predictor —
+	// the namespace the model's cache entries, f32 ones included, live
+	// under.
+	Fingerprint string      `json:"fingerprint"`
+	Source      ModelSource `json:"source,omitempty"`
 }
 
 // Models lists the registered models, sorted by name.
@@ -336,13 +299,11 @@ func (s *Server) Models() []ModelStatus {
 		if es == nil {
 			continue
 		}
-		f32, _ := es.f32Engine()
 		out = append(out, ModelStatus{
 			Name:        name,
 			Default:     name == s.reg.defName,
 			Version:     es.version,
 			Fingerprint: fmt.Sprintf("%x", es.full.fp),
-			F32:         f32 != nil,
 			Source:      es.src,
 		})
 	}

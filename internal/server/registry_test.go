@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,7 @@ import (
 func TestModelRouting(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pred, bin := testPredictor(t)
-	if err := s.RegisterModel("alt", pred, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("alt", pred, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +72,7 @@ func TestModelRouting(t *testing.T) {
 func TestModelsAdminAPI(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	pred, _ := testPredictor(t)
-	if err := s.RegisterModel("extra", pred, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("extra", pred, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +133,7 @@ func TestHotSwapVersionAndIsolation(t *testing.T) {
 	if first.Version != 1 {
 		t.Fatalf("version = %d, want 1", first.Version)
 	}
-	if err := s.RegisterModel("default", pred, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("default", pred, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := postWasm(t, ts.URL, bin, "func=first")
@@ -191,12 +192,21 @@ func TestHotSwapQuantizedNewWeights(t *testing.T) {
 	}
 }
 
-// TestHotSwapUnderLoad hammers the server with concurrent predictions
-// while the default model hot-swaps repeatedly; run with -race. Zero
-// failed requests is the acceptance bar: every response is a 200 with
-// non-empty predictions, before, during, and after the swaps.
+// TestHotSwapUnderLoad hammers the server with concurrent predictions,
+// half of them precision=f32, while the default model hot-swaps
+// repeatedly to the same in-memory predictor; run with -race. Each
+// version builds its f32 engine from those shared weights while the
+// previous version still decodes on them; without the cache every
+// request decodes. Zero failed requests is the acceptance bar: every
+// response is a 200 with non-empty predictions from the engine asked
+// for, before, during, and after the swaps.
 func TestHotSwapUnderLoad(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 8, QueueDepth: 256, RequestTimeout: 2 * time.Minute})
+	t.Run("cached", func(t *testing.T) { hotSwapUnderLoad(t, 0) })
+	t.Run("uncached", func(t *testing.T) { hotSwapUnderLoad(t, -1) })
+}
+
+func hotSwapUnderLoad(t *testing.T, cacheSize int) {
+	s, ts := newTestServer(t, Config{Workers: 8, QueueDepth: 256, RequestTimeout: 2 * time.Minute, CacheSize: cacheSize})
 	pred, bin := testPredictor(t)
 
 	var stop atomic.Bool
@@ -208,7 +218,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				fn := []string{"first", "length"}[i%2]
-				resp, body := postWasm(t, ts.URL, bin, fmt.Sprintf("func=%s&k=%d", fn, 1+i%3))
+				precision := []string{"f64", "f32"}[(g+i)%2]
+				resp, body := postWasm(t, ts.URL, bin, fmt.Sprintf("func=%s&k=%d&precision=%s", fn, 1+i%3, precision))
 				if resp.StatusCode != http.StatusOK {
 					failures <- fmt.Sprintf("worker %d request %d: status %d body %s", g, i, resp.StatusCode, body)
 					return
@@ -218,12 +229,16 @@ func TestHotSwapUnderLoad(t *testing.T) {
 					failures <- fmt.Sprintf("worker %d request %d: empty predictions", g, i)
 					return
 				}
+				if pr.Precision != precision {
+					failures <- fmt.Sprintf("worker %d request %d: precision=%s answered at %q", g, i, precision, pr.Precision)
+					return
+				}
 			}
 		}(g)
 	}
 	for swap := 0; swap < 5; swap++ {
 		time.Sleep(50 * time.Millisecond)
-		if err := s.RegisterModel("default", pred, nil, ModelSource{}); err != nil {
+		if err := s.RegisterModel("default", pred, ModelSource{}); err != nil {
 			t.Errorf("swap %d: %v", swap, err)
 		}
 	}
@@ -244,6 +259,49 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			t.Errorf("final version = %d, want 6", es.version)
 		}
 		es.release()
+	}
+}
+
+// TestModelPutRejectsUnknownFields: the PUT body is a ModelSource and
+// nothing else. An unknown field — a typo, or an option that no longer
+// exists such as f32_path — is a 400 naming it, data after the object
+// is a 400 too, and nothing is registered; the plain body still loads.
+func TestModelPutRejectsUnknownFields(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	pred, _ := testPredictor(t)
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := core.SavePredictor(pred, path); err != nil {
+		t.Fatal(err)
+	}
+	put := func(body string) (int, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/canary", strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(b)
+	}
+	pathJSON, _ := json.Marshal(path)
+	for _, field := range []string{"bogus", "f32_path"} {
+		code, body := put(fmt.Sprintf(`{"path":%s,%q:%s}`, pathJSON, field, pathJSON))
+		if code != http.StatusBadRequest || !strings.Contains(body, field) {
+			t.Errorf("%s: status %d body %s, want 400 naming the field", field, code, body)
+		}
+		if n := len(s.Models()); n != 1 {
+			t.Fatalf("%s: %d models registered after a rejected PUT, want 1", field, n)
+		}
+	}
+	if code, body := put(fmt.Sprintf(`{"path":%s} {}`, pathJSON)); code != http.StatusBadRequest || len(s.Models()) != 1 {
+		t.Errorf("trailing data: status %d body %s, want 400 and nothing registered", code, body)
+	}
+	if code, body := put(fmt.Sprintf(`{"path":%s}`, pathJSON)); code != http.StatusOK {
+		t.Fatalf("plain PUT: status %d body %s", code, body)
+	}
+	if n := len(s.Models()); n != 2 {
+		t.Errorf("%d models registered after the plain PUT, want 2", n)
 	}
 }
 
@@ -276,7 +334,7 @@ func TestReloadFromDisk(t *testing.T) {
 	}
 
 	// In-memory models (no Path) are skipped, not an error.
-	if err := s.RegisterModel("mem", pred, nil, ModelSource{}); err != nil {
+	if err := s.RegisterModel("mem", pred, ModelSource{}); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err = s.Reload()

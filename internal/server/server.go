@@ -23,7 +23,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
@@ -76,13 +75,6 @@ type Config struct {
 	// DefaultModel is the registry name given to the predictor passed to
 	// New, and the model /v1/predict routes to (default "default").
 	DefaultModel string
-	// F32Pred is an optional second predictor pinned to the f32 inference
-	// engine (core.LoadQuantizedPredictor), serving requests that opt in
-	// with precision=f32. It becomes the default model's f32 sibling,
-	// with its own dynamic batchers and cache entries (the two engines'
-	// predictions may differ). Nil means f32 requests to the default
-	// model are rejected.
-	F32Pred *core.Predictor
 }
 
 func (c Config) withDefaults() Config {
@@ -207,19 +199,22 @@ func (sm *serverMetrics) forModel(name string) *modelMetrics {
 	return pm
 }
 
-// engine is one predictor with its dynamic batchers and content
-// fingerprint — the unit the cache namespaces entries by. Each registered
-// model runs a primary engine always, plus an optional f32 engine for
-// requests that opt in.
+// engine is one predictor with its dynamic batchers and cache namespace.
+// Each registered model runs a primary engine and an f32 engine for
+// requests that opt in (the primary itself when it decodes on f32).
 type engine struct {
 	pred *core.Predictor
 	// precision is the arithmetic width the predictor decodes at ("f64"
 	// or "f32", seq2seq.Model.Precision), reported in every response.
 	precision string
-	// fp is the content hash of the predictor (core.FingerprintPredictor):
-	// the cache namespace its predictions live under, stable across
-	// restarts of the same weights.
+	// fp is the content hash of the registered predictor
+	// (core.FingerprintPredictor): the cache namespace its predictions
+	// live under, stable across restarts of the same weights. Both
+	// engines of a model share it.
 	fp [32]byte
+	// tier is the cache key's engine field: "" for the primary, "f32"
+	// for the f32 copy of an f64 primary.
+	tier string
 	// paramBatch/returnBatch coalesce concurrent queries per model; nil
 	// when batching is disabled or the model is absent.
 	paramBatch  *batcher
@@ -245,13 +240,9 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// newEngine wires one predictor with its fingerprint and batchers.
-func (s *Server) newEngine(pred *core.Predictor) (engine, error) {
-	fp, err := core.FingerprintPredictor(pred)
-	if err != nil {
-		return engine{}, fmt.Errorf("fingerprint: %w", err)
-	}
-	e := engine{pred: pred, fp: fp, precision: predictorPrecision(pred)}
+// newEngine wires one predictor with its cache namespace and batchers.
+func (s *Server) newEngine(pred *core.Predictor, fp [32]byte, tier string) engine {
+	e := engine{pred: pred, fp: fp, tier: tier, precision: predictorPrecision(pred)}
 	if s.cfg.BatchSize > 1 {
 		if pred.Param != nil {
 			e.paramBatch = newBatcher(pred.Param, s.cfg.BatchSize, s.cfg.BatchWait, s.cfg.QueueDepth, s.met.batchSize, s.met.batchWait)
@@ -260,7 +251,17 @@ func (s *Server) newEngine(pred *core.Predictor) (engine, error) {
 			e.returnBatch = newBatcher(pred.Return, s.cfg.BatchSize, s.cfg.BatchWait, s.cfg.QueueDepth, s.met.batchSize, s.met.batchWait)
 		}
 	}
-	return e, nil
+	return e
+}
+
+// close stops the engine's batching dispatchers.
+func (e *engine) close() {
+	if e.paramBatch != nil {
+		e.paramBatch.close()
+	}
+	if e.returnBatch != nil {
+		e.returnBatch.close()
+	}
 }
 
 // predictorPrecision reports the arithmetic width a predictor's task
@@ -273,8 +274,7 @@ func predictorPrecision(pred *core.Predictor) string {
 }
 
 // New builds a Server around a loaded predictor — registered under
-// cfg.DefaultModel, with cfg.F32Pred as its f32 sibling — and
-// starts the worker pool. Further models can be added with RegisterModel
+// cfg.DefaultModel — and starts the worker pool. Further models can be added with RegisterModel
 // or LoadModel. Callers must eventually call Shutdown (or Close) to stop
 // the workers.
 func New(pred *core.Predictor, cfg Config) (*Server, error) {
@@ -312,7 +312,7 @@ func NewWithSource(pred *core.Predictor, cfg Config, src ModelSource) (*Server, 
 			return nil, err
 		}
 	}
-	if err := s.RegisterModel(cfg.DefaultModel, pred, cfg.F32Pred, src); err != nil {
+	if err := s.RegisterModel(cfg.DefaultModel, pred, src); err != nil {
 		s.clog.close()
 		return nil, err
 	}
@@ -431,10 +431,10 @@ func (s *Server) runQueries(ctx context.Context, tr *core.Trained, b *batcher, q
 // extract inputs for every element first, then decode all misses
 // together (through the engine's dynamic batcher when enabled, where they
 // coalesce with other requests' queries into one batched beam decode).
-// Cache keys carry the engine's content fingerprint plus the engine tier
+// Cache keys carry the model's content fingerprint plus the engine tier
 // ("" primary, "f32"), so models, versions, and precision modes never
 // answer from each other's entries.
-func (s *Server) predictFunc(ctx context.Context, pm *modelMetrics, e *engine, tier string, m *wasm.Module, fn *ingest.Func, k int) (map[string][]core.TypePrediction, int, error) {
+func (s *Server) predictFunc(ctx context.Context, pm *modelMetrics, e *engine, m *wasm.Module, fn *ingest.Func, k int) (map[string][]core.TypePrediction, int, error) {
 	fnHash := funcHash(m, fn.Index)
 	out := make(map[string][]core.TypePrediction, len(fn.Elements))
 	hits := 0
@@ -443,7 +443,7 @@ func (s *Server) predictFunc(ctx context.Context, pm *modelMetrics, e *engine, t
 		if e.pred.ModelFor(el) == nil {
 			continue
 		}
-		key := cacheKey{model: e.fp, fn: fnHash, elem: el.Name, k: k, engine: tier}
+		key := cacheKey{model: e.fp, fn: fnHash, elem: el.Name, k: k, engine: e.tier}
 		if preds, ok := s.cache.get(key); ok {
 			s.met.cacheHits.Inc()
 			pm.cacheHits.Inc()

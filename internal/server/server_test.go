@@ -59,6 +59,12 @@ func testPredictor(t testing.TB) (*core.Predictor, []byte) {
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	pred, _ := testPredictor(t)
+	return newTestServerFor(t, pred, cfg)
+}
+
+// newTestServerFor serves pred as the default model until the test ends.
+func newTestServerFor(t testing.TB, pred *core.Predictor, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	s, err := New(pred, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +260,9 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestHealthz: readiness answers ok, and reports no engine
+// availability: every model answers precision=f32, and the fast-math
+// engine is gone.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -263,6 +272,18 @@ func TestHealthz(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	var h map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h["status"] != "ok" {
+		t.Errorf("status field = %v, want ok", h["status"])
+	}
+	for _, gone := range []string{"f32", "fast_math"} {
+		if _, ok := h[gone]; ok {
+			t.Errorf("healthz still reports %q", gone)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== gofmt =="
-unformatted="$(gofmt -l cmd internal scripts examples *.go)"
+unformatted="$(gofmt -l cmd internal scripts examples bench *.go)"
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on:"
 	echo "$unformatted"
@@ -109,6 +109,8 @@ echo "== bench-serve smoke: zero failed requests across a SIGHUP hot swap =="
 # Reuses the tiny model trained above: start the server with a persistent
 # cache, drive it open-loop at low QPS, hot-swap the model with SIGHUP
 # mid-run, and require zero failed requests (the zero-downtime gate).
+# The same plain server (no f32 configuration) must then answer
+# precision=f32 load without a failure.
 # After a graceful stop the compacted cache must replay: a second server
 # over the same file, stopped untouched, must re-emit a byte-identical
 # snapshot (CLI-level persistence determinism).
@@ -136,6 +138,8 @@ bench_pid=$!
 sleep 2
 kill -HUP "$serve_pid"
 wait "$bench_pid"
+"$tmp/snowwhite" bench-serve -addr "$serve_addr" -file "$bench_wasm" \
+	-precision f32 -qps 4 -duration 2s -max-failures 0 >/dev/null
 kill -TERM "$serve_pid"
 wait "$serve_pid" || true
 serve_pid=
