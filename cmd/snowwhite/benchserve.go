@@ -22,14 +22,12 @@ import (
 // so queueing delay shows up in the measured latency instead of
 // throttling the offered load — the methodology that exposes saturation,
 // unlike closed-loop clients whose arrival rate collapses to the
-// service rate. A -sweep runs one measurement per target rate to trace
-// the saturation curve; -label tags runs (e.g. cold vs warm start) and
-// -merge-into folds the results into BENCH_predict.json next to the
-// microbenchmarks.
+// service rate. One invocation measures one load point and prints it as
+// one JSON object; speed claims rest on the repo's benchmark
+// (bench/run.sh), not on single runs of this tool.
 
 // serveRunResult is one measured load point.
 type serveRunResult struct {
-	Label        string  `json:"label,omitempty"`
 	TargetQPS    float64 `json:"target_qps"`
 	DurationSec  float64 `json:"duration_sec"`
 	Requests     int     `json:"requests"`
@@ -82,7 +80,7 @@ func (t *benchTarget) fire() (time.Duration, int, int, bool) {
 // runLoad drives one open-loop measurement: requests start every 1/qps
 // regardless of in-flight count, for the given duration, then every
 // outstanding request is awaited.
-func runLoad(t *benchTarget, qps float64, duration time.Duration, label string) serveRunResult {
+func runLoad(t *benchTarget, qps float64, duration time.Duration) serveRunResult {
 	interval := time.Duration(float64(time.Second) / qps)
 	if interval <= 0 {
 		interval = time.Microsecond
@@ -141,7 +139,6 @@ func runLoad(t *benchTarget, qps float64, duration time.Duration, label string) 
 		sum += l
 	}
 	res := serveRunResult{
-		Label:       label,
 		TargetQPS:   qps,
 		DurationSec: elapsed,
 		Requests:    len(latencies),
@@ -163,48 +160,6 @@ func runLoad(t *benchTarget, qps float64, duration time.Duration, label string) 
 	return res
 }
 
-// mergeInto folds the serve results into an existing benchmark JSON file
-// (or creates it), under the "serve" key, preserving everything else.
-func mergeInto(path string, runs []serveRunResult) error {
-	doc := map[string]any{}
-	if buf, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("bench-serve: %s is not a JSON object: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	// Accumulate across invocations (bench.sh runs cold and warm phases as
-	// separate processes): existing runs with the same label are replaced,
-	// others are kept.
-	var kept []serveRunResult
-	if prev, ok := doc["serve"]; ok {
-		if buf, err := json.Marshal(prev); err == nil {
-			var old []serveRunResult
-			if json.Unmarshal(buf, &old) == nil {
-				for _, o := range old {
-					replaced := false
-					for _, n := range runs {
-						if o.Label == n.Label && o.TargetQPS == n.TargetQPS {
-							replaced = true
-							break
-						}
-					}
-					if !replaced {
-						kept = append(kept, o)
-					}
-				}
-			}
-		}
-	}
-	doc["serve"] = append(kept, runs...)
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 // runBenchServe measures a running prediction server under open-loop
 // load and reports latency percentiles, throughput, and cache hit rate.
 func runBenchServe(args []string) error {
@@ -216,18 +171,10 @@ func runBenchServe(args []string) error {
 	precision := fs.String("precision", "", "request a precision tier (f32 routes to the single-precision engine)")
 	model := fs.String("model", "", "route to a named registry model (default: the server's default model)")
 	qps := fs.Float64("qps", 20, "target arrival rate (open loop)")
-	duration := fs.Duration("duration", 10*time.Second, "measurement length per load point")
-	sweep := fs.String("sweep", "", "comma-separated QPS list for a saturation sweep (overrides -qps)")
-	label := fs.String("label", "", "tag for this run (e.g. cold, warm)")
-	maxFailures := fs.Int("max-failures", -1, "exit 1 if any load point fails more than this many requests (-1 disables)")
-	prof := profileFlags(fs)
-	mergePath := fs.String("merge-into", "", "merge results into this benchmark JSON file under the \"serve\" key")
+	duration := fs.Duration("duration", 10*time.Second, "measurement length")
+	maxFailures := fs.Int("max-failures", -1, "exit 1 if more than this many requests fail (-1 disables)")
 	ready := fs.Bool("ready", false, "probe GET /healthz and exit (0 = serving); runs no load and touches no cache entries")
 	fs.Parse(args)
-	stopProf, err := prof.start()
-	if err != nil {
-		return err
-	}
 	if *ready {
 		resp, err := (&http.Client{Timeout: 5 * time.Second}).Get("http://" + *addr + "/healthz")
 		if err != nil {
@@ -242,6 +189,9 @@ func runBenchServe(args []string) error {
 	}
 	if *file == "" {
 		return fmt.Errorf("bench-serve requires -file")
+	}
+	if *qps <= 0 {
+		return fmt.Errorf("bench-serve: -qps must be positive, got %g", *qps)
 	}
 	body, err := os.ReadFile(*file)
 	if err != nil {
@@ -269,18 +219,6 @@ func runBenchServe(args []string) error {
 	}
 	t := &benchTarget{url: path, body: body, client: &http.Client{Timeout: 5 * time.Minute}}
 
-	rates := []float64{*qps}
-	if *sweep != "" {
-		rates = rates[:0]
-		for _, s := range strings.Split(*sweep, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || r <= 0 {
-				return fmt.Errorf("bench-serve: invalid -sweep entry %q", s)
-			}
-			rates = append(rates, r)
-		}
-	}
-
 	// Verify reachability via /healthz rather than a throwaway prediction:
 	// a preflight decode would prime the cache for the benchmark binary and
 	// erase the cold-start signal (every timed request would hit).
@@ -294,31 +232,16 @@ func runBenchServe(args []string) error {
 		}
 	}
 
-	var runs []serveRunResult
-	tooManyFailures := false
-	for _, rate := range rates {
-		res := runLoad(t, rate, *duration, *label)
-		runs = append(runs, res)
-		logLine(fmt.Sprintf("qps=%g: %d requests (%d failed) achieved=%.1f/s p50=%.1fms p95=%.1fms p99=%.1fms hit-rate=%.3f",
-			rate, res.Requests, res.Failed, res.AchievedQPS, res.P50Ms, res.P95Ms, res.P99Ms, res.CacheHitRate))
-		if *maxFailures >= 0 && res.Failed > *maxFailures {
-			tooManyFailures = true
-		}
-	}
-
-	buf, err := json.MarshalIndent(runs, "", "  ")
+	res := runLoad(t, *qps, *duration)
+	logLine(fmt.Sprintf("qps=%g: %d requests (%d failed) achieved=%.1f/s p50=%.1fms p95=%.1fms p99=%.1fms hit-rate=%.3f",
+		*qps, res.Requests, res.Failed, res.AchievedQPS, res.P50Ms, res.P95Ms, res.P99Ms, res.CacheHitRate))
+	buf, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}
 	os.Stdout.Write(append(buf, '\n'))
-	if *mergePath != "" {
-		if err := mergeInto(*mergePath, runs); err != nil {
-			return err
-		}
-		logLine("merged results into " + *mergePath)
+	if *maxFailures >= 0 && res.Failed > *maxFailures {
+		return fmt.Errorf("bench-serve: %d failed requests exceeded -max-failures %d", res.Failed, *maxFailures)
 	}
-	if tooManyFailures {
-		return fmt.Errorf("bench-serve: failed requests exceeded -max-failures %d", *maxFailures)
-	}
-	return stopProf()
+	return nil
 }

@@ -24,7 +24,7 @@
 //	snowwhite predict {-model model.bin | -packages N} -file {prog.c | bin.wasm} [-func NAME] [-k N]
 //	snowwhite ingest  {-model model.bin | -packages N} {-file bin.wasm | -dir DIR} [-eval] [-k N] [-j N] [-precision f64|f32] [-out report.json]
 //	snowwhite serve   {-model model.bin | -packages N} [-addr :8642] [-batch N] [-batch-wait D] [-pprof-addr :6060] [-cache-file cache.jsonl] [-add-model name=path...]
-//	snowwhite bench-serve -addr host:port {-file bin.wasm | -ready} [-func NAME] [-k N] [-precision f64|f32] [-model NAME] [-qps N] [-duration D] [-sweep "10,50,100"] [-label L] [-max-failures N] [-merge-into BENCH_predict.json] [-cpuprofile F] [-memprofile F]
+//	snowwhite bench-serve -addr host:port {-file bin.wasm | -ready} [-func NAME] [-k N] [-precision f64|f32] [-model NAME] [-qps N] [-duration D] [-max-failures N]
 //	snowwhite export  -model model.bin -out model.qbin [-quantize int8|f32]
 //	snowwhite acctest {-model model.bin | -packages N} -dir DIR [-quantize int8|f32] [-cand-model model.qbin] [-k N] [-budget 0.99]
 //	snowwhite table1                                      Table 1
@@ -72,8 +72,10 @@
 // log replays at startup (warm start) and compacts to a snapshot on
 // graceful shutdown. `snowwhite bench-serve` drives a running server with
 // an open-loop load generator (Poisson-less fixed-rate arrivals at -qps)
-// and reports p50/p95/p99 latency, throughput, and cache hit rates, with
-// -sweep for saturation curves; results merge into BENCH_predict.json.
+// for one load point and prints its p50/p95/p99 latency, throughput and
+// cache hit rate as one JSON object; -max-failures turns failed requests
+// into a nonzero exit, and -ready is a /healthz probe that leaves the
+// cache untouched.
 //
 // `snowwhite export` converts a trained full-precision predictor into
 // the quantized on-disk format (int8 affine per matrix, or float32).
@@ -228,7 +230,7 @@ func runStats(args []string) error {
 	return nil
 }
 
-// profileOpts wires the shared -cpuprofile/-memprofile flags: CPU
+// profileOpts wires eval's -cpuprofile/-memprofile flags: CPU
 // profiling runs from start() to the returned stop; the heap profile is
 // written (after a GC, so it reflects live memory) when stop runs.
 type profileOpts struct {

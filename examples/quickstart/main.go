@@ -13,6 +13,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/dwarf"
+	"repro/internal/ingest"
 	"repro/internal/typelang"
 	"repro/internal/wasm"
 )
@@ -92,12 +93,12 @@ func main() {
 		log.Fatal(err)
 	}
 	p := &core.Predictor{Param: trained, Opts: cfg.Extract}
-	preds, err := p.PredictBinary(stripped, 0, 5)
-	if err != nil {
-		log.Fatal(err)
+	rep := (&ingest.Ingester{Pred: p, K: 5}).Binary("amd_control.wasm", stripped)
+	if rep.Error != "" {
+		log.Fatal(rep.Error)
 	}
 	fmt.Println("\n=== Top-5 predictions for parameter `Control` (stripped binary) ===")
-	for i, tp := range preds["param0"] {
+	for i, tp := range rep.Funcs[0].Elements[0].Predictions {
 		marker := ""
 		if tp.Text == truth.String() {
 			marker = "   <- exact match with ground truth"

@@ -97,34 +97,29 @@ func main() {
 	p := &core.Predictor{Param: paramModel, Return: retModel, Opts: cfg.Extract}
 
 	fmt.Println("=== Recovered signatures (top prediction, with alternatives) ===")
-	m := ld.Decoded.Module
-	for fi, fn := range ld.Funcs {
-		name := fn.Name
-		sig, err := m.FuncTypeAt(uint32(fi + m.NumImportedFuncs()))
-		if err != nil {
-			log.Fatal(err)
-		}
-		preds, err := p.PredictBinary(stripped, fi, 3)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var parts []string
-		for pi := range sig.Params {
-			key := fmt.Sprintf("param%d", pi)
-			parts = append(parts, fmt.Sprintf("%s /*%s*/", top(preds[key]), sig.Params[pi]))
-		}
+	rep := (&ingest.Ingester{Pred: p, K: 3}).Binary("vendor.wasm", stripped)
+	if rep.Error != "" {
+		log.Fatal(rep.Error)
+	}
+	for _, fr := range rep.Funcs {
+		var params []string
 		ret := "void"
-		if len(sig.Results) > 0 {
-			ret = fmt.Sprintf("%s /*%s*/", top(preds["return"]), sig.Results[0])
+		for _, el := range fr.Elements {
+			typ := fmt.Sprintf("%s /*%s*/", top(el.Predictions), el.LowType)
+			if el.Element == "return" {
+				ret = typ
+			} else {
+				params = append(params, typ)
+			}
 		}
-		fmt.Printf("\n%s %s(%s)\n", ret, name, strings.Join(parts, ", "))
-		for key, ps := range preds {
-			if len(ps) > 1 {
+		fmt.Printf("\n%s %s(%s)\n", ret, fr.Name, strings.Join(params, ", "))
+		for _, el := range fr.Elements {
+			if len(el.Predictions) > 1 {
 				var alts []string
-				for _, alt := range ps[1:] {
+				for _, alt := range el.Predictions[1:] {
 					alts = append(alts, alt.Text)
 				}
-				fmt.Printf("    %s alternatives: %s\n", key, strings.Join(alts, " | "))
+				fmt.Printf("    %s alternatives: %s\n", el.Element, strings.Join(alts, " | "))
 			}
 		}
 	}

@@ -475,7 +475,8 @@ func TestF32PoolRecycling(t *testing.T) {
 }
 
 // BenchmarkF32Kernels measures the float32 matmul kernels on the model's
-// hot shapes; scripts/bench.sh records it in BENCH_infer.json.
+// hot shapes; EXPERIMENTS.md quotes its gflops from
+// `go test -run '^$' -bench BenchmarkF32Kernels -count N ./internal/ad`.
 func BenchmarkF32Kernels(b *testing.B) {
 	shapes := []struct {
 		name    string

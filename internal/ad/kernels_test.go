@@ -131,8 +131,8 @@ func TestKernelsBitwiseOracleSpecials(t *testing.T) {
 // BenchmarkMatmulKernels compares the blocked kernels against the scalar
 // reference on the model's hot shapes: the forward/backward products of
 // an LSTM step on a 4-row training shard and on a full 32-row batch, and
-// the decoder's output projection. scripts/bench.sh records the results
-// in BENCH_train.json.
+// the decoder's output projection. EXPERIMENTS.md quotes its gflops from
+// `go test -run '^$' -bench BenchmarkMatmulKernels -count N ./internal/ad`.
 func BenchmarkMatmulKernels(b *testing.B) {
 	shapes := []struct {
 		name    string

@@ -153,15 +153,21 @@ double first(double *xs, int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dwarf.Strip(obj.Module)
 	bin, _, err := wasm.Encode(obj.Module)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &Predictor{Param: trained, Return: retTrained, Opts: d.Cfg.Extract}
-	preds, err := p.PredictBinary(bin, 0, 5)
+	m, err := DecodeStripped(bin)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.Custom(dwarf.SectionInfo) != nil {
+		t.Fatal("DecodeStripped left DWARF in the module")
+	}
+	preds := map[string][]TypePrediction{}
+	for _, el := range Elements(m, 0) {
+		preds[el.Name] = p.ModelFor(el).PredictTyped([][]string{p.Input(m, 0, el)}, []int{5})[0]
 	}
 	if len(preds["param0"]) == 0 || len(preds["param1"]) == 0 || len(preds["return"]) == 0 {
 		t.Fatalf("predictions missing: %v", preds)
@@ -171,11 +177,6 @@ double first(double *xs, int n) {
 			t.Error("empty prediction text")
 		}
 	}
-	// Errors for bad indices.
-	if _, err := p.PredictBinary(bin, 99, 5); err == nil {
-		t.Error("bad function index accepted")
-	}
-
 	// Formatting.
 	table5 := FormatTable5([]*TaskResult{res, retRes})
 	if !strings.Contains(table5, "Top-1") || !strings.Contains(table5, "Lsw / parameter") {

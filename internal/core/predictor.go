@@ -115,9 +115,9 @@ func (p *Predictor) ReturnInput(m *wasm.Module, funcIdx int) ([]string, error) {
 
 // DecodeStripped strictly decodes a wasm binary and strips its DWARF
 // custom sections, yielding the module a reverse engineer sees: code
-// only, no ground truth. It is the in-process library path behind
-// PredictBinary; the ingest, serve, acctest and predict commands load
-// binaries tolerantly through ingest.Load instead.
+// only, no ground truth. The benchmark module decodes its inputs with
+// it; the ingest, serve, acctest and predict commands load binaries
+// tolerantly through ingest.Load instead.
 func DecodeStripped(bin []byte) (*wasm.Module, error) {
 	d, err := wasm.Decode(bin)
 	if err != nil {
@@ -125,34 +125,6 @@ func DecodeStripped(bin []byte) (*wasm.Module, error) {
 	}
 	dwarf.Strip(d.Module)
 	return d.Module, nil
-}
-
-// PredictBinary decodes a binary, strips its debug info, and predicts all
-// parameter and return types of one function, returning them keyed by
-// element name ("param0".."paramN", "return").
-func (p *Predictor) PredictBinary(bin []byte, funcIdx, k int) (map[string][]TypePrediction, error) {
-	m, err := DecodeStripped(bin)
-	if err != nil {
-		return nil, err
-	}
-	return p.PredictModule(m, funcIdx, k)
-}
-
-// PredictModule predicts every element (see Elements) of one
-// module-defined function of an already-decoded (and typically stripped)
-// module, keyed by element name. Elements whose task model the predictor
-// lacks are left out.
-func (p *Predictor) PredictModule(m *wasm.Module, funcIdx, k int) (map[string][]TypePrediction, error) {
-	if funcIdx < 0 || funcIdx >= len(m.Funcs) {
-		return nil, fmt.Errorf("core: function index %d out of range", funcIdx)
-	}
-	out := map[string][]TypePrediction{}
-	for _, el := range Elements(m, funcIdx) {
-		if tr := p.ModelFor(el); tr != nil {
-			out[el.Name] = tr.PredictTyped([][]string{p.Input(m, funcIdx, el)}, []int{k})[0]
-		}
-	}
-	return out, nil
 }
 
 func wrap(preds [][]string) []TypePrediction {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cc"
@@ -297,6 +298,57 @@ func TestDirDeterminism(t *testing.T) {
 	if rep.Eval == nil || rep.Eval.Labeled == 0 {
 		t.Error("aggregate eval summary missing")
 	}
+}
+
+// TestIngesterConcurrent hammers one Ingester, and so one Predictor,
+// from many goroutines. Prediction must be read-only over model state
+// (run with -race) and beam search deterministic: every goroutine gets
+// the report a serial call produces.
+func TestIngesterConcurrent(t *testing.T) {
+	obj, err := cc.Compile(`
+double first(double *xs, int n) {
+	if (xs != NULL && n > 0) { return xs[0]; }
+	return 0.0;
+}
+int length(char *s) {
+	int n = 0;
+	while (s[n] != 0) { n = n + 1; }
+	return n;
+}
+`, cc.Options{FileName: "concurrent.c", Debug: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing := &Ingester{Pred: syntheticPredictor(), K: 3, Eval: true}
+	want, err := json.Marshal(ing.Binary("concurrent.wasm", obj.Binary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(want, []byte(`"predictions"`)) {
+		t.Fatalf("serial report has no predictions: %s", want)
+	}
+
+	const goroutines = 32
+	const iters = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				got, err := json.Marshal(ing.Binary("concurrent.wasm", obj.Binary))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d: report differs from the serial one", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestIngestMetricsExposition: the ingest counters land on the shared

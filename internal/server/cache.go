@@ -153,6 +153,24 @@ func (c *lruCache) len() int {
 	return len(c.items)
 }
 
+// retain drops every entry keep rejects; the survivors keep their
+// recency order.
+func (c *lruCache) retain(keep func(cacheKey) bool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if key := el.Value.(*lruEntry).key; !keep(key) {
+			c.order.Remove(el)
+			delete(c.items, key)
+		}
+		el = next
+	}
+}
+
 // entries returns a copy of the cache contents, least recently used
 // first — the order a snapshot must replay puts in so the restored cache
 // reproduces this one's eviction order exactly.

@@ -31,7 +31,9 @@ import (
 // on graceful shutdown) rewrites the log from the live entries oldest
 // first, which bounds the file at one cache's worth of records and makes
 // snapshot → load → snapshot byte-identical (the verify.sh determinism
-// gate).
+// gate). Replay keeps records of every fingerprint, because models added
+// after startup (-add-model, the admin API) may own them; Shutdown drops
+// the entries no registered model owns before it compacts.
 
 // cacheRecord is one persisted cache entry.
 type cacheRecord struct {

@@ -175,7 +175,8 @@ func TestCacheLogSkipsLegacyFastEntries(t *testing.T) {
 // of an f64 primary and of a quantized primary keep their keys and hit.
 // Entries an f32 sibling wrote under its own fingerprint are never
 // reached: precision=f32 on the f64 model misses once, then hits the
-// entries its f32 engine wrote.
+// entries its f32 engine wrote. Shutdown's compaction drops the
+// sibling's records, since no registered model has their fingerprint.
 func TestCacheLogParentFormatReplay(t *testing.T) {
 	pred, bin := testPredictor(t)
 	q8, err := core.QuantizePredictor(pred, quant.Int8)
@@ -252,6 +253,35 @@ func TestCacheLogParentFormatReplay(t *testing.T) {
 	check("model=q8&precision=f32", all, "logged q8")
 	check("precision=f32", 0, "")
 	check("precision=f32", all, "")
+
+	// The snapshot is the cache minus the sibling's records, in LRU
+	// order: the 2*all logged records a model can reach plus the all f32
+	// entries decoded above.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, e := range s.cache.entries() {
+		if e.val[0].Text != "logged sibling" {
+			enc.Encode(recordOf(e.key, e.val))
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, want.Bytes()) {
+		t.Errorf("snapshot:\n%s\nwant:\n%s", snap, want.Bytes())
+	}
+	for text, n := range map[string]int{"logged f64": all, "logged q8": all, "logged sibling": 0} {
+		if got := strings.Count(string(snap), `"text":"`+text+`"`); got != n {
+			t.Errorf("snapshot holds %d %q records, want %d", got, text, n)
+		}
+	}
+	if got := strings.Count(string(snap), "\n"); got != 3*all {
+		t.Errorf("snapshot holds %d records, want %d", got, 3*all)
+	}
 }
 
 // TestServerWarmStart is the end-to-end persistence property: a server

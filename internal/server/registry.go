@@ -153,14 +153,14 @@ func (s *Server) acquireModel(name string) (*engineSet, error) {
 	}
 }
 
-// newEngineSet wires one loaded model with its engines, batchers, and
-// the entry's metrics. A model that decodes on f64 gets an f32 engine of
+// newEngineSet wires one loaded model with its engines and batchers;
+// RegisterModel attaches the name's metrics. A model that decodes on f64 gets an f32 engine of
 // its own: the f32 quantization of its weights (float32(w) per weight,
 // held in float32 storage). Each registration quantizes afresh, so two
 // versions of one in-memory predictor never share float32 tensors. The
 // f32 engine keeps the primary's fingerprint; its cache entries stay
 // apart under the engine tier "f32".
-func (s *Server) newEngineSet(name string, pred *core.Predictor, src ModelSource, pm *modelMetrics) (*engineSet, error) {
+func (s *Server) newEngineSet(name string, pred *core.Predictor, src ModelSource) (*engineSet, error) {
 	if pred == nil || (pred.Param == nil && pred.Return == nil) {
 		return nil, fmt.Errorf("server: model %q has no task models", name)
 	}
@@ -174,7 +174,7 @@ func (s *Server) newEngineSet(name string, pred *core.Predictor, src ModelSource
 			return nil, fmt.Errorf("server: model %q: f32 engine: %w", name, err)
 		}
 	}
-	es := &engineSet{name: name, src: src, pm: pm, drained: make(chan struct{}, 1)}
+	es := &engineSet{name: name, src: src, drained: make(chan struct{}, 1)}
 	es.full = s.newEngine(pred, fp, "")
 	es.f32 = &es.full
 	if f32Pred != nil {
@@ -189,10 +189,17 @@ func (s *Server) newEngineSet(name string, pred *core.Predictor, src ModelSource
 // the atomic pointer store decode on the new engines while the old
 // version's in-flight decodes drain to completion; only then are its
 // dispatchers stopped and the model released. src records how to reload
-// the name from disk (zero value: not reloadable).
+// the name from disk (zero value: not reloadable). The engines are built
+// before the name is looked up, so a registration that fails leaves the
+// registry as it was: a new name is not added, an existing one keeps
+// serving its current version.
 func (s *Server) RegisterModel(name string, pred *core.Predictor, src ModelSource) error {
 	if name == "" {
 		return errors.New("server: empty model name")
+	}
+	es, err := s.newEngineSet(name, pred, src)
+	if err != nil {
+		return err
 	}
 	s.reg.mu.Lock()
 	e := s.reg.entries[name]
@@ -202,10 +209,7 @@ func (s *Server) RegisterModel(name string, pred *core.Predictor, src ModelSourc
 	}
 	s.reg.mu.Unlock()
 
-	es, err := s.newEngineSet(name, pred, src, e.pm)
-	if err != nil {
-		return err
-	}
+	es.pm = e.pm
 	es.version = e.swaps.Add(1)
 	old := e.cur.Swap(es)
 	e.pm.version.Set(int64(es.version))

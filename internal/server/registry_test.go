@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,6 +119,61 @@ func TestModelsAdminAPI(t *testing.T) {
 	}
 	if code := del("default"); code != http.StatusBadRequest {
 		t.Errorf("delete default: %d, want 400", code)
+	}
+}
+
+// TestRegisterFailureLeavesRegistry: a registration that fails changes
+// nothing. A new name does not appear in names(), /healthz, Models() or
+// /metrics, and an existing name keeps serving its current version.
+func TestRegisterFailureLeavesRegistry(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	_, bin := testPredictor(t)
+	healthzModels := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h struct {
+			Models float64 `json:"models"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Models
+	}
+	names, models, healthz := s.reg.names(), s.Models(), healthzModels()
+
+	for _, name := range []string{"ghost", "default"} {
+		if err := s.RegisterModel(name, &core.Predictor{}, ModelSource{}); err == nil {
+			t.Fatalf("%s: registering a predictor with no task models succeeded", name)
+		}
+		if got := s.reg.names(); !reflect.DeepEqual(got, names) {
+			t.Errorf("%s: names() = %q, want %q", name, got, names)
+		}
+		if got := s.Models(); !reflect.DeepEqual(got, models) {
+			t.Errorf("%s: Models() = %+v, want %+v", name, got, models)
+		}
+		if got := healthzModels(); got != healthz {
+			t.Errorf("%s: /healthz models = %v, want %v", name, got, healthz)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if strings.Contains(string(exposition), `model="ghost"`) {
+		t.Error("/metrics has series for the name whose registration failed")
+	}
+	resp, body := postWasm(t, ts.URL, bin, "func=first")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("default after failed swap: status %d body %s", resp.StatusCode, body)
+	}
+	if pr := decodeResponse(t, body); pr.Version != 1 {
+		t.Errorf("default answered at version %d after a failed swap, want 1", pr.Version)
 	}
 }
 

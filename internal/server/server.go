@@ -488,7 +488,8 @@ func (s *Server) ListenAndServe() error {
 // the worker pool, then drains every registered engine set (stopping its
 // batching dispatchers — the workers are the batchers' only producers, so
 // every coalesced query still in flight completes first), and finally
-// compacts the prediction cache to its on-disk snapshot.
+// compacts the prediction cache to its on-disk snapshot, keeping only the
+// entries of models registered at that point.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.httpMu.Lock()
@@ -501,9 +502,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.jobs)
 	})
 	s.workerWG.Wait()
+	live := map[[32]byte]bool{}
 	for _, name := range s.reg.names() {
 		if e := s.reg.lookup(name); e != nil {
 			if es := e.cur.Load(); es != nil {
+				live[es.full.fp] = true
 				es.drain()
 			}
 		}
@@ -513,6 +516,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = cerr
 		}
 		if s.cfg.CachePath != "" && s.cache != nil {
+			// Only the models registered now can ever answer from an
+			// entry: drop the rest (an old version's, replayed records of
+			// a removed model) so the snapshot does not carry them on.
+			s.cache.retain(func(k cacheKey) bool { return live[k.model] })
 			if _, serr := snapshotTo(s.cfg.CachePath, s.cache); err == nil {
 				err = serr
 			}

@@ -32,6 +32,11 @@ echo "== benchmark module (vet + unit tests + smoke run of every workload) =="
 # compares served predictions with in-process ones, so a break in the
 # front end or the server shows up here and not only in the perf runs.
 (cd bench && go vet ./... && go test ./...)
+echo "== every internal/ benchmark, one iteration each =="
+# Nothing else runs the go test -bench benchmarks, so run each once to
+# keep them compiling and running. The root package's model-training
+# benchmarks (the paper's tables) stay compile-only via go vet above.
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 echo "== pipeline determinism/race stress (-count=2 to vary scheduling) =="
 go test -race -count=2 -run 'TestPipeline(Determinism|RaceStress)|TestGeneratePackageIndependent|TestIndexOrderIndependent' \
 	./internal/core ./internal/corpus ./internal/dedup
