@@ -294,6 +294,35 @@ func (t *Tape) MatMul(a, b *V) *V {
 	return out
 }
 
+// MatMulLeading returns a @ b with only the leading n rows computed; rows
+// n.. of the result are zero. Every matmul row is computed on its own
+// (the kernels' row blocking does not change any element's accumulation
+// chain), so rows 0..n-1 are bitwise MatMul's. An LSTM step whose live
+// rows lead its batch uses it to skip the GEMM work of padded rows.
+// Forward tapes only: it records no backward pass, so a recording tape
+// panics.
+func (t *Tape) MatMulLeading(a, b *V, n int) *V {
+	if a.C != b.R || n < 0 || n > a.R {
+		panic(fmt.Sprintf("ad: MatMulLeading %d rows of %dx%d @ %dx%d", n, a.R, a.C, b.R, b.C))
+	}
+	if t.grad {
+		panic("ad: MatMulLeading on a recording tape")
+	}
+	out := t.new(a.R, b.C)
+	if t.f32 {
+		matmul32(out.W32[:n*b.C], f32w(a)[:n*a.C], f32w(b), n, a.C, b.C)
+		return out
+	}
+	matmul(out.W[:n*b.C], a.W[:n*a.C], b.W, n, a.C, b.C)
+	return out
+}
+
+// Zeros returns an all-zero [r,c] value in the tape's precision, drawn
+// from its pool where the tape has one (with gradient storage on
+// recording tapes), so per-call constants such as an LSTM's initial
+// state recycle with the tape's other values.
+func (t *Tape) Zeros(r, c int) *V { return t.new(r, c) }
+
 // Add returns a + b. b may be a [1,C] row vector, broadcast over a's rows.
 func (t *Tape) Add(a, b *V) *V {
 	if t.f32 && !t.grad {

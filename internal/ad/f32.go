@@ -189,36 +189,49 @@ func (t *Tape) softmaxRowsMaskedGroupedF32(a *V, mask []float64, groups []int) *
 
 // softmaxRowMasked32 is one row of SoftmaxRowsMasked in float32: mask
 // entries of 0 are -inf (padding), a fully masked row stays all-zero.
-// The exponentials run through the vector exp with out as scratch;
-// masked positions are exponentiated too (their shifted scores may
-// exceed zero, even overflow — both harmless) and zeroed before the
-// ascending-order sum, which adds exactly the unmasked terms the scalar
-// form added.
+// out must arrive zeroed (a fresh tape value).
+//
+// The exponentials run through the vector exp with out as scratch, over
+// positions 0 through the row's last unmasked one only. Where a row
+// stops is the one thing batching changes: padding a row with trailing
+// masked positions (a longer source elsewhere in the batch) must not
+// move which of its real positions fall in the vector body and which in
+// the scalar tail, since the two can differ in the last ulp (contract
+// note 2) — so the exp never reaches the padding, and a padded row is
+// bitwise the unpadded one (TestSoftmaxRowMasked32PaddingInvariant).
+// Masked positions inside that span are exponentiated too (their
+// shifted scores may exceed zero, even overflow — both harmless) and
+// zeroed before the ascending-order sum, which adds exactly the
+// unmasked terms the scalar form added.
 func softmaxRowMasked32(out, row []float32, mask []float64) {
 	max := float32(math.Inf(-1))
-	any := false
+	last := -1
 	for tt, x := range row {
-		if mask[tt] != 0 && (!any || x > max) {
-			max, any = x, true
+		if mask[tt] != 0 {
+			if last < 0 || x > max {
+				max = x
+			}
+			last = tt
 		}
 	}
-	if !any {
+	if last < 0 {
 		return // fully masked row: all-zero attention
 	}
-	for tt, x := range row {
-		out[tt] = x - max
+	live := out[:last+1]
+	for tt := range live {
+		live[tt] = row[tt] - max
 	}
-	expv32(out, out)
+	expv32(live, live)
 	var sum float32
-	for tt := range out {
+	for tt := range live {
 		if mask[tt] == 0 {
-			out[tt] = 0
+			live[tt] = 0
 			continue
 		}
-		sum += out[tt]
+		sum += live[tt]
 	}
-	for tt := range out {
-		out[tt] /= sum
+	for tt := range live {
+		live[tt] /= sum
 	}
 }
 

@@ -332,3 +332,78 @@ func equalWSlice(a, b []float64) bool {
 	}
 	return true
 }
+
+// TestMatMulLeadingMatchesMatMul: on f64 and f32 forward tapes the
+// leading n rows of MatMulLeading are MatMul's bit for bit, whatever
+// the band/remainder split of n against the full height, and the
+// remaining rows are zero; a recording tape refuses the op.
+func TestMatMulLeadingMatchesMatMul(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	for _, shape := range [][3]int{{8, 48, 128}, {7, 33, 12}, {5, 64, 256}, {3, 5, 7}} {
+		R, K, C := shape[0], shape[1], shape[2]
+		a, b := randV(r, R, K), randV(r, K, C)
+		a.W[1] = 0 // a zero multiplier takes the kernels' skip path
+		a.SyncF32()
+		b.SyncF32()
+		for _, mk := range []func(*Pool) *Tape{NewForward, NewForwardF32} {
+			tape := mk(NewPool())
+			full := tape.MatMul(a, b)
+			for n := 0; n <= R; n++ {
+				got := tape.MatMulLeading(a, b, n)
+				if tape.F32() {
+					for i, x := range got.W32 {
+						want := float32(0)
+						if i < n*C {
+							want = full.W32[i]
+						}
+						if math.Float32bits(x) != math.Float32bits(want) {
+							t.Fatalf("f32 %v n=%d: element %d is %v, want %v", shape, n, i, x, want)
+						}
+					}
+					continue
+				}
+				for i, x := range got.W {
+					want := 0.0
+					if i < n*C {
+						want = full.W[i]
+					}
+					if math.Float64bits(x) != math.Float64bits(want) {
+						t.Fatalf("f64 %v n=%d: element %d is %v, want %v", shape, n, i, x, want)
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MatMulLeading on a recording tape did not panic")
+		}
+	}()
+	NewTape().MatMulLeading(New(2, 2), New(2, 2), 1)
+}
+
+// TestZerosDrawsTapeStorage: Zeros hands out zeroed storage in the
+// tape's precision — float32 only on f32 tapes, with gradient storage on
+// recording tapes — recycled through the pool like any op output.
+func TestZerosDrawsTapeStorage(t *testing.T) {
+	pool := NewPool()
+	f32 := NewForwardF32(pool)
+	mark := f32.Mark()
+	z := f32.Zeros(3, 8)
+	if len(z.W32) != 24 || len(z.W) != 0 || len(z.G) != 0 {
+		t.Fatalf("f32 Zeros storage: W32 %d, W %d, G %d", len(z.W32), len(z.W), len(z.G))
+	}
+	z.W32[5] = 1
+	f32.ReleaseSince(mark)
+	if again := f32.Zeros(3, 8); again != z || again.W32[5] != 0 {
+		t.Fatal("f32 Zeros did not recycle zeroed pool storage")
+	}
+	if z := NewForward(nil).Zeros(2, 4); len(z.W) != 8 || len(z.G) != 0 {
+		t.Fatalf("f64 forward Zeros storage: W %d, G %d", len(z.W), len(z.G))
+	}
+	for _, tape := range []*Tape{NewTape(), NewTraining(NewPool())} {
+		if z := tape.Zeros(2, 4); len(z.W) != 8 || len(z.G) != 8 {
+			t.Fatalf("recording Zeros storage: W %d, G %d", len(z.W), len(z.G))
+		}
+	}
+}

@@ -621,3 +621,44 @@ func TestVAdd32Bitwise(t *testing.T) {
 func float32Exp(r *rand.Rand) float64 {
 	return math.Exp(3 * r.NormFloat64())
 }
+
+// TestSoftmaxRowMasked32PaddingInvariant pins the f32 engine's batch
+// invariance at the op that used to break it: a masked-softmax row
+// padded with trailing masked positions — what batching a source with a
+// longer one does to its attention row — must equal the unpadded row bit
+// for bit, with exact zeros on the padding. Exponentiating the padded
+// width moved real positions between the vector body and the scalar
+// tail of expv32, which differ in the last ulp on some inputs.
+func TestSoftmaxRowMasked32PaddingInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(40)
+		pad := 1 + r.Intn(24)
+		row := make([]float64, n+pad)
+		mask := make([]float64, n+pad)
+		for i := 0; i < n; i++ {
+			row[i] = r.NormFloat64() * math.Exp(float64(r.Intn(6)-2))
+			mask[i] = 1
+			if i > 0 && r.Intn(8) == 0 {
+				mask[i] = 0 // interior padding stays allowed
+			}
+		}
+		for i := n; i < n+pad; i++ {
+			row[i] = r.NormFloat64() * 30 // padding scores must not matter
+		}
+		tape := NewForwardF32(NewPool())
+		want := tape.SoftmaxRowsMasked(FromSlice(1, n, row[:n:n]), mask[:n])
+		got := tape.SoftmaxRowsMasked(FromSlice(1, n+pad, row), mask)
+		for i := 0; i < n; i++ {
+			if math.Float32bits(got.W32[i]) != math.Float32bits(want.W32[i]) {
+				t.Fatalf("trial %d (n=%d, pad=%d): position %d is %v padded, %v unpadded",
+					trial, n, pad, i, got.W32[i], want.W32[i])
+			}
+		}
+		for i := n; i < n+pad; i++ {
+			if math.Float32bits(got.W32[i]) != 0 {
+				t.Fatalf("trial %d: padding position %d holds %v, want +0", trial, i, got.W32[i])
+			}
+		}
+	}
+}

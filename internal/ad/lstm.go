@@ -13,8 +13,9 @@ import (
 //	h = σ(o)·tanh(c)
 //
 // as two [B,H] values. Rows whose mask entry is 0 (padding) hold their
-// state: h and c copy hPrev and cPrev there. A nil mask means every row
-// advances.
+// state: h and c copy hPrev and cPrev there, and those rows of xw and hw
+// affect no output (nn.LSTM.StepMasked leaves them zero). A nil mask
+// means every row advances.
 //
 // Recording and f32 tapes emit the composite ops (Add, SliceCols,
 // Sigmoid, Tanh, Mul and, when masked, Blend), which are the reference.

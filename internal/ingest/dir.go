@@ -25,7 +25,11 @@ type DirReport struct {
 // (workers <= 0 means one per binary, capped at 8). Binaries are
 // discovered and reported in sorted relative-path order and each binary
 // is ingested independently, so the output is byte-identical at any
-// worker count.
+// worker count. The workers share one prediction memo for the run
+// (predMemo): a signature element whose model input the run has already
+// decoded reuses those predictions, which are bitwise what decoding it
+// again would give, so every binary's report equals Binary's on the
+// same file.
 func (ing *Ingester) Dir(root string, workers int) (*DirReport, error) {
 	var paths []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -57,6 +61,7 @@ func (ing *Ingester) Dir(root string, workers int) (*DirReport, error) {
 		acc *metrics.Accuracy
 	}
 	results := make([]scored, len(paths))
+	memo := newPredMemo()
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -74,7 +79,7 @@ func (ing *Ingester) Dir(root string, workers int) (*DirReport, error) {
 					results[i] = scored{rep: &Report{Schema: Schema, Binary: name, Error: rerr.Error()}}
 					continue
 				}
-				rep, acc := ing.binaryScored(name, data)
+				rep, acc := ing.binaryScored(name, data, memo)
 				results[i] = scored{rep: rep, acc: acc}
 			}
 		}()

@@ -168,7 +168,7 @@ func (ing *Ingester) k() int {
 // Binary ingests one binary. It never fails: an unusable binary yields a
 // report whose Error field is set and whose other fields are empty.
 func (ing *Ingester) Binary(name string, data []byte) *Report {
-	rep, _ := ing.binaryScored(name, data)
+	rep, _ := ing.binaryScored(name, data, nil)
 	return rep
 }
 
@@ -181,7 +181,8 @@ type elemQuery struct {
 
 // binaryScored ingests one binary and additionally returns the raw
 // accuracy accumulator when evaluation ran (for cross-binary merging).
-func (ing *Ingester) binaryScored(name string, data []byte) (*Report, *metrics.Accuracy) {
+// memo (may be nil) is the run's prediction memo.
+func (ing *Ingester) binaryScored(name string, data []byte, memo *predMemo) (*Report, *metrics.Accuracy) {
 	start := time.Now()
 	rep := &Report{Schema: Schema, Binary: name, SizeBytes: len(data)}
 	ld, err := Load(data)
@@ -240,8 +241,8 @@ func (ing *Ingester) binaryScored(name string, data []byte) (*Report, *metrics.A
 	}
 
 	if ing.Pred != nil {
-		ing.decode(rep, ing.Pred.Param, paramQ)
-		ing.decode(rep, ing.Pred.Return, returnQ)
+		ing.decode(rep, ing.Pred.Param, roleParam, paramQ, memo)
+		ing.decode(rep, ing.Pred.Return, roleReturn, returnQ, memo)
 	}
 
 	var acc *metrics.Accuracy
@@ -253,21 +254,57 @@ func (ing *Ingester) binaryScored(name string, data []byte) (*Report, *metrics.A
 }
 
 // decode runs one model's queued queries through the batched decoder and
-// installs the ranked predictions into the report.
-func (ing *Ingester) decode(rep *Report, tr *core.Trained, qs []elemQuery) {
+// installs the ranked predictions into the report. With a memo (Dir),
+// only queries whose (role, k, input) neither the memo nor an earlier
+// query of this call holds are decoded; every other query reuses those
+// predictions and counts as reused.
+func (ing *Ingester) decode(rep *Report, tr *core.Trained, role byte, qs []elemQuery, memo *predMemo) {
 	if tr == nil || len(qs) == 0 {
 		return
 	}
-	srcs := make([][]string, len(qs))
-	ks := make([]int, len(qs))
+	k := ing.k()
+	var (
+		srcs [][]string
+		ks   []int
+		keys [][32]byte             // memo key of each decoded query
+		slot = make([]int, len(qs)) // index into srcs, or -1 for a memo hit
+		seen map[[32]byte]int
+	)
 	for i, q := range qs {
-		srcs[i] = q.src
-		ks[i] = ing.k()
+		if memo != nil {
+			key := memoKey(role, k, q.src)
+			if p, ok := memo.get(key); ok {
+				rep.Funcs[q.fn].Elements[q.elem].Predictions = p
+				slot[i] = -1
+				continue
+			}
+			if j, ok := seen[key]; ok {
+				slot[i] = j
+				continue
+			}
+			if seen == nil {
+				seen = map[[32]byte]int{}
+			}
+			seen[key] = len(srcs)
+			keys = append(keys, key)
+		}
+		slot[i] = len(srcs)
+		srcs = append(srcs, q.src)
+		ks = append(ks, k)
 	}
-	preds := tr.PredictTyped(srcs, ks)
+	var preds [][]core.TypePrediction
+	if len(srcs) > 0 {
+		preds = tr.PredictTyped(srcs, ks)
+	}
+	for j, key := range keys {
+		memo.put(key, preds[j])
+	}
 	for i, q := range qs {
-		rep.Funcs[q.fn].Elements[q.elem].Predictions = preds[i]
+		if slot[i] >= 0 {
+			rep.Funcs[q.fn].Elements[q.elem].Predictions = preds[slot[i]]
+		}
 	}
+	ing.Metrics.reused(len(qs) - len(srcs))
 }
 
 // label converts DWARF subprogram signatures into ground-truth label

@@ -56,6 +56,10 @@ func appendRawSection(bin []byte, id byte, payload []byte) []byte {
 // vocabulary: prediction equivalence and report mechanics do not depend
 // on weights, and untrained models decode deterministically.
 func syntheticTrained(ret bool) *core.Trained {
+	return syntheticTrainedEncoder(ret, seq2seq.EncoderBiLSTM)
+}
+
+func syntheticTrainedEncoder(ret bool, encoder string) *core.Trained {
 	srcs := [][]string{
 		{"i32", "<begin>", "local.get", "<param>", ";", "i32.add"},
 		{"f64", "<begin>", "local.get", "<param>", ";", "f64.mul"},
@@ -69,6 +73,7 @@ func syntheticTrained(ret bool) *core.Trained {
 	cfg := seq2seq.DefaultConfig()
 	cfg.Hidden = 32
 	cfg.Embed = 24
+	cfg.Encoder = encoder
 	m := seq2seq.NewModel(cfg, seq2seq.BuildVocab(srcs, 0), seq2seq.BuildVocab(tgts, 0))
 	return &core.Trained{
 		Task:  core.Task{Variant: typelang.VariantLSW, Return: ret},
@@ -77,9 +82,13 @@ func syntheticTrained(ret bool) *core.Trained {
 }
 
 func syntheticPredictor() *core.Predictor {
+	return syntheticPredictorEncoder(seq2seq.EncoderBiLSTM)
+}
+
+func syntheticPredictorEncoder(encoder string) *core.Predictor {
 	return &core.Predictor{
-		Param:  syntheticTrained(false),
-		Return: syntheticTrained(true),
+		Param:  syntheticTrainedEncoder(false, encoder),
+		Return: syntheticTrainedEncoder(true, encoder),
 		Opts:   core.DefaultConfig().Extract,
 	}
 }

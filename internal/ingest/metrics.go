@@ -21,6 +21,9 @@ type Metrics struct {
 	SectionDiags map[wasm.SectionStatus]*metrics.Counter
 	// Seconds is the per-binary ingest latency (load + predict + score).
 	Seconds *metrics.Histogram
+	// Reused counts signature elements answered from Dir's prediction
+	// memo instead of decoded: the duplicate share of a crawl.
+	Reused *metrics.Counter
 }
 
 // NewMetrics registers the ingest metrics on r.
@@ -46,7 +49,17 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		},
 		Seconds: r.NewHistogram("snowwhite_ingest_binary_seconds",
 			"Per-binary ingest latency in seconds.", nil),
+		Reused: r.NewCounter("snowwhite_ingest_elements_reused_total",
+			"Signature elements whose predictions a directory run reused from an identical earlier query instead of decoding."),
 	}
+}
+
+// reused records n signature elements answered without a decode.
+func (im *Metrics) reused(n int) {
+	if im == nil || n == 0 {
+		return
+	}
+	im.Reused.Add(int64(n))
 }
 
 // observe records one finished binary. Nil receivers are the common

@@ -164,9 +164,12 @@ type State struct {
 	H, C *ad.V
 }
 
-// ZeroState returns an all-zero state for a batch of the given size.
-func (l *LSTM) ZeroState(batch int) State {
-	return State{H: ad.New(batch, l.Hidden), C: ad.New(batch, l.Hidden)}
+// ZeroState returns an all-zero state for a batch of the given size,
+// drawn from t in the tape's precision: pooled tapes recycle it with the
+// rest of the call, and f32 tapes get float32 storage directly instead of
+// converting a float64 zero matrix on first use.
+func (l *LSTM) ZeroState(t *ad.Tape, batch int) State {
+	return State{H: t.Zeros(batch, l.Hidden), C: t.Zeros(batch, l.Hidden)}
 }
 
 // GatherState selects rows of a batched recurrent state: row r of the
@@ -186,9 +189,38 @@ func (l *LSTM) Step(t *ad.Tape, x *ad.V, s State) State {
 // whose mask entry is 0 (padding timesteps); a nil mask advances every
 // example. The gate nonlinearities and the state update are one
 // ad.Tape.LSTMCell, which lays z out in NewLSTM's i, f, g, o order.
+//
+// On forward tapes, when the live rows are exactly the leading n rows
+// (a batch sorted longest first, as batched beam search encodes it),
+// both gate GEMMs run on those n rows only: LSTMCell never reads a held
+// row's gates, so the skipped rows change no bit. Any other mask, and
+// every recording tape, runs the full GEMMs.
 func (l *LSTM) StepMasked(t *ad.Tape, x *ad.V, s State, mask []float64) State {
-	h, c := t.LSTMCell(t.MatMul(x, l.Wx), t.MatMul(s.H, l.Wh), l.B, s.H, s.C, mask)
+	var xw, hw *ad.V
+	if n, ok := leadingLive(mask); ok && n < len(mask) && !t.Recording() {
+		xw, hw = t.MatMulLeading(x, l.Wx, n), t.MatMulLeading(s.H, l.Wh, n)
+	} else {
+		xw, hw = t.MatMul(x, l.Wx), t.MatMul(s.H, l.Wh)
+	}
+	h, c := t.LSTMCell(xw, hw, l.B, s.H, s.C, mask)
 	return State{H: h, C: c}
+}
+
+// leadingLive reports whether mask's nonzero entries are exactly its
+// leading n entries, and n; a nil mask has no leading form.
+func leadingLive(mask []float64) (n int, ok bool) {
+	if mask == nil {
+		return 0, false
+	}
+	for n < len(mask) && mask[n] != 0 {
+		n++
+	}
+	for _, m := range mask[n:] {
+		if m != 0 {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 // Adam is the Adam optimizer with global-norm gradient clipping.

@@ -58,7 +58,7 @@ func TestLSTMStep(t *testing.T) {
 		if !tape.Recording() {
 			name = "forward"
 		}
-		s1 := l.Step(tape, x, l.ZeroState(3))
+		s1 := l.Step(tape, x, l.ZeroState(tape, 3))
 		if s1.H.R != 3 || s1.H.C != 6 || s1.C.R != 3 || s1.C.C != 6 {
 			t.Fatalf("%s: state shapes wrong", name)
 		}
@@ -114,7 +114,7 @@ func TestLSTMLearnsToggle(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		seq, label := gen()
 		tape := ad.NewTape()
-		s := lstm.ZeroState(1)
+		s := lstm.ZeroState(tape, 1)
 		for _, tok := range seq {
 			x := emb.Lookup(tape, []int{tok})
 			s = lstm.Step(tape, x, s)
@@ -138,7 +138,7 @@ func TestLSTMLearnsToggle(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		seq, label := gen()
 		tape := ad.NewTape()
-		s := lstm.ZeroState(1)
+		s := lstm.ZeroState(tape, 1)
 		for _, tok := range seq {
 			s = lstm.Step(tape, emb.Lookup(tape, []int{tok}), s)
 		}

@@ -176,9 +176,13 @@ func (m *Model) PredictBatch(srcs [][]string, k int) [][]Prediction {
 
 // PredictMulti predicts every source sequence with its own beam cutoff
 // ks[i], decoding up to predictGroup searches — all their live
-// hypotheses — in one batched decoder step per token. Output slot i is
-// exactly Predict(srcs[i], ks[i]); grouping only changes how many GEMM
-// calls the decoding costs, not any result bit.
+// hypotheses — in one batched decoder step per token. Groups are cut
+// from the sources ordered longest first (lengthOrder), so a group pads
+// little and its encoder steps run on their live rows only. Output slot
+// i is exactly Predict(srcs[i], ks[i]); grouping and order only change
+// how many GEMM calls the decoding costs, not any result bit — on the
+// exact f64 engine by row-independent arithmetic, on the f32 engine by
+// its batch-invariance contract (TestPredictF32BatchInvariant).
 func (m *Model) PredictMulti(srcs [][]string, ks []int) [][]Prediction {
 	out, err := m.predictMulti(srcs, ks, nil)
 	if err != nil {
@@ -205,16 +209,44 @@ func (m *Model) predictMulti(srcs [][]string, ks []int, stop func() error) ([][]
 	}
 	pool := m.getPool()
 	defer m.putPool(pool)
-	out := make([][]Prediction, 0, len(srcs))
-	for lo := 0; lo < len(srcs); lo += predictGroup {
-		hi := min(lo+predictGroup, len(srcs))
-		group, err := m.predictMultiOn(m.inferTape(pool), srcs[lo:hi], ks[lo:hi], stop)
+	order := m.lengthOrder(srcs)
+	out := make([][]Prediction, len(srcs))
+	gsrcs := make([][]string, 0, predictGroup)
+	gks := make([]int, 0, predictGroup)
+	for lo := 0; lo < len(order); lo += predictGroup {
+		idx := order[lo:min(lo+predictGroup, len(order))]
+		gsrcs, gks = gsrcs[:0], gks[:0]
+		for _, i := range idx {
+			gsrcs = append(gsrcs, srcs[i])
+			gks = append(gks, ks[i])
+		}
+		group, err := m.predictMultiOn(m.inferTape(pool), gsrcs, gks, stop)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, group...)
+		for j, i := range idx {
+			out[i] = group[j]
+		}
 	}
 	return out, nil
+}
+
+// lengthOrder returns the indices of srcs ordered by encoded source
+// length, longest first, ties in index order. The length is the
+// truncated one, an empty source counting as 1 (the UNK it encodes as).
+// Decode groups cut from this order hold sources of similar length, so
+// they pad little, and each group's rows are sorted too: at every
+// encoder timestep the rows with a real token are the leading ones,
+// which is the form nn.LSTM.StepMasked skips padded rows' GEMM work on.
+func (m *Model) lengthOrder(srcs [][]string) []int {
+	lens := make([]int, len(srcs))
+	order := make([]int, len(srcs))
+	for i, src := range srcs {
+		lens[i] = max(1, len(truncate(src, m.Cfg.MaxSrcLen)))
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return lens[b] - lens[a] })
+	return order
 }
 
 // msearch is one beam search of a batched group.
@@ -269,6 +301,9 @@ func (m *Model) predictMultiOn(tape *ad.Tape, srcs [][]string, ks []int, stop fu
 	// row-wise independent and StepMasked holds each row's state across
 	// its padding steps, so row si of the batch is bit-identical to
 	// encoding srcs[si] alone — batching only changes the GEMM shapes.
+	// When the group arrives longest first (predictMulti sorts it), the
+	// rows with a real token lead every timestep and StepMasked runs the
+	// gate GEMMs on those rows only.
 	padded := make([][]int, S)
 	Tmax := 1
 	for si, src := range srcs {

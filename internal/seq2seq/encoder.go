@@ -132,12 +132,12 @@ func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool)
 	for l := range e.fwd {
 		fwdOut := make([]*ad.V, T)
 		bwdOut := make([]*ad.V, T)
-		sf := e.fwd[l].ZeroState(B)
+		sf := e.fwd[l].ZeroState(t, B)
 		for tt := 0; tt < T; tt++ {
 			sf = step(e.fwd[l], inputs[tt], sf, masks[tt])
 			fwdOut[tt] = sf.H
 		}
-		sb := e.bwd[l].ZeroState(B)
+		sb := e.bwd[l].ZeroState(t, B)
 		for tt := T - 1; tt >= 0; tt-- {
 			sb = step(e.bwd[l], inputs[tt], sb, masks[tt])
 			bwdOut[tt] = sb.H

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ad"
@@ -61,6 +62,76 @@ func testPredictF32Deterministic(t *testing.T, m *Model, srcs [][]string) {
 	again := m.PredictMulti(srcs, ks)
 	if !reflect.DeepEqual(full, again) {
 		t.Error("full-precision predictions changed after an f32 episode")
+	}
+}
+
+// TestPredictF32BatchInvariant: on both encoders and both engines, a
+// search's result must not depend on which searches share its decode
+// group. PredictMulti over ragged sources — in the given order and
+// reversed, more sources than one group — must equal Predict on each
+// source alone, bit for bit. On f64 this is the row-independent
+// arithmetic TestPredictBatchedMatchesSequential pins; on f32 it is the
+// batch-invariance contract (kernels_f32.go), which a padded attention
+// softmax used to break on the Transformer.
+func TestPredictF32BatchInvariant(t *testing.T) {
+	for _, enc := range []string{EncoderBiLSTM, EncoderTransformer} {
+		m, srcs := benchGroupEncoder(8, enc)
+		r := rand.New(rand.NewSource(31))
+		for i := 0; i < 5; i++ {
+			srcs = append(srcs, benchSrc(r, m.Src, 1+r.Intn(20)))
+		}
+		ks := make([]int, len(srcs))
+		for i := range ks {
+			ks[i] = []int{3, 5, 1}[i%3]
+		}
+		for _, prec := range []string{"f32", "f64"} {
+			if err := m.SetPrecision(prec); err != nil {
+				t.Fatal(err)
+			}
+			alone := make([][]Prediction, len(srcs))
+			for i, src := range srcs {
+				alone[i] = m.Predict(src, ks[i])
+			}
+			rsrcs, rks := slices.Clone(srcs), slices.Clone(ks)
+			slices.Reverse(rsrcs)
+			slices.Reverse(rks)
+			got, rgot := m.PredictMulti(srcs, ks), m.PredictMulti(rsrcs, rks)
+			slices.Reverse(rgot)
+			for i := range srcs {
+				if !reflect.DeepEqual(got[i], alone[i]) {
+					t.Errorf("%s %s: source %d (len %d) decoded in a batch differs from decoded alone\nbatch %v\nalone %v",
+						EncoderName(enc), prec, i, len(srcs[i]), got[i], alone[i])
+				}
+				if !reflect.DeepEqual(rgot[i], alone[i]) {
+					t.Errorf("%s %s: source %d (len %d) decoded in a reversed batch differs from decoded alone",
+						EncoderName(enc), prec, i, len(srcs[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestPredictF32AllocsNoMoreThanF64: a warmed f32 decode allocates no
+// more objects or bytes than the exact f64 one over the same sources.
+// Per-call constants — the encoder's zero states above all — are drawn
+// from the tape in its own precision, so the f32 engine never converts
+// a float64 copy of them.
+func TestPredictF32AllocsNoMoreThanF64(t *testing.T) {
+	m, srcs := benchGroup(8)
+	if err := m.SetPrecision("f64"); err != nil {
+		t.Fatal(err)
+	}
+	a64, b64 := perPredictGroup(m, srcs)
+	if err := m.SetPrecision("f32"); err != nil {
+		t.Fatal(err)
+	}
+	a32, b32 := perPredictGroup(m, srcs)
+	t.Logf("per group of %d: f64 %.1f allocs %.0f B, f32 %.1f allocs %.0f B", len(srcs), a64, b64, a32, b32)
+	// The slack absorbs the runtime's own allocations during the
+	// measurement (a few bytes per run); the float64 zero states the f32
+	// engine used to convert cost ~8 KiB per group.
+	if a32 > a64+0.5 || b32 > b64+64 {
+		t.Errorf("f32 decode allocates %.0f objects and %.0f B per group, exact f64 %.0f and %.0f", a32, b32, a64, b64)
 	}
 }
 

@@ -269,6 +269,47 @@ func TestPredictAllocsFlatInSourceLength(t *testing.T) {
 	}
 }
 
+// TestPredictAllocsFlatInSourceLengthRagged is the group variant of
+// TestPredictAllocsFlatInSourceLength: a decode group of ragged sources,
+// sorted longest first so every encoder step runs on its live rows, must
+// not allocate more as its sources grow — the live-row GEMMs work on
+// row counts, not on per-step views of the state.
+func TestPredictAllocsFlatInSourceLengthRagged(t *testing.T) {
+	const scale = 10 // long sources are scale × the short ones
+	for _, enc := range []string{EncoderBiLSTM, EncoderTransformer} {
+		r := rand.New(rand.NewSource(29))
+		cfg := testConfig()
+		cfg.Encoder = enc
+		cfg.MaxSrcLen = 100
+		cfg.MaxTgtLen = 6
+		m := buildModel(t, cfg, makeToyData(r, 80))
+		long := make([][]string, predictGroup)
+		short := make([][]string, predictGroup)
+		for i := range long {
+			long[i] = benchSrc(r, m.Src, 100-11*i) // 100, 89, ..., 23
+			short[i] = long[i][:len(long[i])/scale]
+		}
+		for _, prec := range []string{"f64", "f32"} {
+			if err := m.SetPrecision(prec); err != nil {
+				t.Fatal(err)
+			}
+			sAllocs, sBytes := perPredictGroup(m, short)
+			lAllocs, lBytes := perPredictGroup(m, long)
+			steps := float64(len(long[0]) - len(short[0]))
+			allocs := (lAllocs - sAllocs) / steps
+			bytes := (lBytes - sBytes) / steps
+			t.Logf("%s %s: %.2f allocs, %.0f B per extra encoder timestep of a %d-source group",
+				EncoderName(enc), prec, allocs, bytes, predictGroup)
+			// What remains is per-timestep slices: the masks, the
+			// padded ids and the encoder's per-timestep pointer slots.
+			if allocs > 1 || bytes > 2048 {
+				t.Errorf("%s %s: a ragged group grows by %.2f allocs and %.0f B per encoder timestep, want <= 1 and <= 2048",
+					EncoderName(enc), prec, allocs, bytes)
+			}
+		}
+	}
+}
+
 // TestPredictRecycledEncoderMatchesReference: with every encoder
 // timestep recycled into the pool, decoding must still equal the
 // recording-tape reference (which recycles nothing) bitwise, on both
@@ -310,10 +351,22 @@ func TestPredictRecycledEncoderMatchesReference(t *testing.T) {
 // the measurement (the model's sync.Pool may drop a pool between calls,
 // and under -race does so at random).
 func perPredict(m *Model, src []string) (allocs, bytes float64) {
+	return perPredictGroup(m, [][]string{src})
+}
+
+// perPredictGroup is perPredict for one decode group of up to
+// predictGroup width-5 searches, ordered longest first as PredictMulti
+// orders them.
+func perPredictGroup(m *Model, srcs [][]string) (allocs, bytes float64) {
 	const runs = 20
 	pool := ad.NewPool()
+	group := make([][]string, len(srcs))
+	ks := make([]int, len(srcs))
+	for j, i := range m.lengthOrder(srcs) {
+		group[j], ks[j] = srcs[i], 5
+	}
 	predict := func() {
-		if _, err := m.predictMultiOn(m.inferTape(pool), [][]string{src}, []int{5}, nil); err != nil {
+		if _, err := m.predictMultiOn(m.inferTape(pool), group, ks, nil); err != nil {
 			panic(err)
 		}
 	}

@@ -52,6 +52,11 @@ echo "== batched-predict determinism + buffer recycling + server batcher (-count
 # the two runs.
 go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise|TestPredictRecycledEncoderMatchesReference|TestPredictAllocsFlatInSourceLength|TestReleaseSince|TestExpvMatchesMathExp|TestTanhExpMatchesMathTanh|TestLSTMCell' \
 	./internal/seq2seq ./internal/ad
+# Batch invariance of both engines (a search's bits do not depend on its
+# decode group), live-row encoder steps, tape-drawn zero states, the
+# BPE word memo and ingest's per-run prediction memo.
+go test -race -count=2 -run 'TestPredictF32BatchInvariant|TestPredictF32AllocsNoMoreThanF64|TestSoftmaxRowMasked32PaddingInvariant|TestMatMulLeadingMatchesMatMul|TestZerosDrawsTapeStorage|TestLSTMStep|TestEncodeMemo|TestDirMemoMatchesBinary' \
+	./internal/seq2seq ./internal/ad ./internal/nn ./internal/bpe ./internal/ingest
 go test -race -count=2 -run 'TestBatcher|TestServerBatcherStress' ./internal/server
 echo "== fuzz seed corpora (no mutation; smoke-checks the native targets) =="
 go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest|FuzzPredict' \
@@ -87,6 +92,21 @@ cmp "$tmp/ingest_j1.json" internal/ingest/testdata/golden_eval.json
 	-eval -k 5 -j 4 -out "$tmp/ingest_tf_j4.json" 2>/dev/null
 cmp "$tmp/ingest_tf_j1.json" "$tmp/ingest_tf_j4.json"
 cmp "$tmp/ingest_tf_j1.json" internal/ingest/testdata/golden_eval_transformer.json
+echo "== ingest prediction memo (testdata twice, f32, j1 == j4) =="
+# Every checked-in binary twice under different names: the second copy's
+# elements are answered from the run's prediction memo. The f32 reports
+# at -j 1 and -j 4 must be byte-identical. This checks the memo's
+# plumbing and its determinism across workers; an exact copy's hits come
+# from an identical batch, so f32 batch dependence is left to
+# TestPredictF32BatchInvariant and TestDirMemoMatchesBinary.
+mkdir -p "$tmp/twice/a" "$tmp/twice/b"
+cp internal/ingest/testdata/*.wasm "$tmp/twice/a/"
+cp internal/ingest/testdata/*.wasm "$tmp/twice/b/"
+for j in 1 4; do
+	"$tmp/snowwhite" ingest -model "$tmp/model.bin" -dir "$tmp/twice" -precision f32 \
+		-eval -k 5 -j "$j" -out "$tmp/twice_f32_j$j.json" 2>/dev/null
+done
+cmp "$tmp/twice_f32_j1.json" "$tmp/twice_f32_j4.json"
 echo "== accuracy budget (quantized f32 engine vs full precision, top-3 >= 99%) =="
 # Reuses the tiny models trained above. Per encoder architecture the
 # quantized candidate — weights loaded straight into float32 storage and
