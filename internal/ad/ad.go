@@ -156,7 +156,16 @@ func (t *Tape) F32() bool { return t.f32 && !t.grad }
 
 // new allocates an op output: with gradient storage on recording tapes,
 // gradient-free on forward tapes; pool-recycled on pooled tapes.
-func (t *Tape) new(r, c int) *V {
+func (t *Tape) new(r, c int) *V { return t.draw(r, c, true) }
+
+// newDirty is new for ops that write every element of their output
+// before anything reads it: on pooled forward tapes a recycled buffer
+// comes back holding a released value's stale contents instead of
+// being cleared first. Recording tapes still draw cleared storage.
+func (t *Tape) newDirty(r, c int) *V { return t.draw(r, c, false) }
+
+// draw is new, clearing recycled forward-tape storage when zero is set.
+func (t *Tape) draw(r, c int, zero bool) *V {
 	if t.pool == nil {
 		switch {
 		case t.grad:
@@ -171,9 +180,9 @@ func (t *Tape) new(r, c int) *V {
 	case t.grad:
 		v = t.pool.getGrad(r, c)
 	case t.f32:
-		v = t.pool.get32(r, c)
+		v = t.pool.get32(r, c, zero)
 	default:
-		v = t.pool.get(r, c)
+		v = t.pool.get(r, c, zero)
 	}
 	t.live = append(t.live, v)
 	return v
@@ -187,7 +196,7 @@ func (t *Tape) scratch(n int) []float64 {
 	if t.pool == nil {
 		return make([]float64, n)
 	}
-	v := t.pool.get(n, 1)
+	v := t.pool.get(n, 1, true)
 	t.live = append(t.live, v)
 	return v.W
 }
@@ -198,7 +207,7 @@ func (t *Tape) scratch32(n int) []float32 {
 	if t.pool == nil {
 		return make([]float32, n)
 	}
-	v := t.pool.get32(n, 1)
+	v := t.pool.get32(n, 1, true)
 	t.live = append(t.live, v)
 	return v.W32
 }
@@ -329,7 +338,7 @@ func (t *Tape) Add(a, b *V) *V {
 		return t.addF32(a, b)
 	}
 	if b.R == 1 && a.C == b.C && a.R != 1 {
-		out := t.new(a.R, a.C)
+		out := t.newDirty(a.R, a.C)
 		for i := 0; i < a.R; i++ {
 			for j := 0; j < a.C; j++ {
 				out.W[i*a.C+j] = a.W[i*a.C+j] + b.W[j]
@@ -349,7 +358,7 @@ func (t *Tape) Add(a, b *V) *V {
 		return out
 	}
 	sameShape("Add", a, b)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W {
 		out.W[i] = a.W[i] + b.W[i]
 	}
@@ -370,7 +379,7 @@ func (t *Tape) Sub(a, b *V) *V {
 	if t.f32 && !t.grad {
 		return t.subF32(a, b)
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W {
 		out.W[i] = a.W[i] - b.W[i]
 	}
@@ -391,7 +400,7 @@ func (t *Tape) Mul(a, b *V) *V {
 	if t.f32 && !t.grad {
 		return t.mulF32(a, b)
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W {
 		out.W[i] = a.W[i] * b.W[i]
 	}
@@ -411,7 +420,7 @@ func (t *Tape) Scale(a *V, s float64) *V {
 	if t.f32 && !t.grad {
 		return t.scaleF32(a, s)
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W {
 		out.W[i] = a.W[i] * s
 	}
@@ -430,7 +439,7 @@ func (t *Tape) Sigmoid(a *V) *V {
 	if t.f32 && !t.grad {
 		return t.sigmoidF32(a)
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W {
 		out.W[i] = 1 / (1 + math.Exp(-a.W[i]))
 	}
@@ -450,7 +459,7 @@ func (t *Tape) Tanh(a *V) *V {
 	if t.f32 && !t.grad {
 		return t.tanhF32(a)
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W {
 		out.W[i] = math.Tanh(a.W[i])
 	}
@@ -478,7 +487,7 @@ func (t *Tape) ConcatCols(vs ...*V) *V {
 	if t.f32 && !t.grad {
 		return t.concatColsF32(r, c, vs)
 	}
-	out := t.new(r, c)
+	out := t.newDirty(r, c)
 	off := 0
 	for _, v := range vs {
 		for i := 0; i < r; i++ {
@@ -514,7 +523,7 @@ func (t *Tape) SliceCols(a *V, lo, hi int) *V {
 	if t.f32 && !t.grad {
 		return t.sliceColsF32(a, lo, hi)
 	}
-	out := t.new(a.R, hi-lo)
+	out := t.newDirty(a.R, hi-lo)
 	for i := 0; i < a.R; i++ {
 		copy(out.W[i*out.C:(i+1)*out.C], a.W[i*a.C+lo:i*a.C+hi])
 	}
@@ -536,7 +545,7 @@ func (t *Tape) Rows(a *V, idx []int) *V {
 	if t.f32 && !t.grad {
 		return t.rowsF32(a, idx)
 	}
-	out := t.new(len(idx), a.C)
+	out := t.newDirty(len(idx), a.C)
 	for i, id := range idx {
 		if id < 0 || id >= a.R {
 			panic(fmt.Sprintf("ad: Rows index %d out of %d", id, a.R))

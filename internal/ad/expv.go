@@ -2,17 +2,22 @@ package ad
 
 import "math"
 
-// expConsts is vexpFMA's constant table: the constants of math.Exp's
-// amd64 assembly, each pre-broadcast to a 4-lane row so the kernel reads
-// them as plain m256 operands. Row order is fixed by the kernel's
-// 32-byte offsets. The literals are the assembly's own, so they round to
-// the same doubles; the last row is an integer (the exponent bias)
-// carried through Float64frombits.
+// expConsts is the constant table of vexpFMA and lstmCellAVX2: the
+// constants of math.Exp's amd64 assembly, then those of tanhExp, each
+// pre-broadcast to a 4-lane row so the kernels read them as plain m256
+// operands. Row order is fixed by the kernels' 32-byte offsets. The
+// literals are the Go sources' own, so they round to the same doubles;
+// the exponent bias and the two masks are integers carried through
+// Float64frombits.
 var expConsts = buildExpConsts()
 
-func buildExpConsts() *[64]float64 {
-	vals := [16]float64{
-		-708, 709, // the kernel's range: 2^n stays a normal double
+// tanhMaxLog is math.tanh's saturation constant log(2**127); |x| above
+// half of it is ±1.
+const tanhMaxLog = 8.8029691931113054295988e+01
+
+func buildExpConsts() *[26 * 4]float64 {
+	vals := [26]float64{
+		-708, 709, // the exp kernel's range: 2^n stays a normal double
 		1.4426950408889634073599246810018920,                  // log2(e)
 		0.69314718055966295651160180568695068359375,           // ln2, upper half
 		0.28235290563031577122588448175013436025525412068e-12, // ln2, lower half
@@ -27,8 +32,15 @@ func buildExpConsts() *[64]float64 {
 		1,
 		2,
 		math.Float64frombits(1023), // exponent bias, read as a qword
+		// tanhExp's rows, from offset 512.
+		math.Float64frombits(1<<63 - 1), // |x| mask
+		math.Float64frombits(1 << 63),   // sign mask
+		0.625,                           // below: the rational form
+		0.5 * tanhMaxLog,                // above: ±1
+		tanhP[0], tanhP[1], tanhP[2],
+		tanhQ[0], tanhQ[1], tanhQ[2],
 	}
-	var t [64]float64
+	var t [26 * 4]float64
 	for i, v := range vals {
 		for l := 0; l < 4; l++ {
 			t[i*4+l] = v
@@ -82,10 +94,9 @@ var tanhQ = [...]float64{
 // whose math.Tanh is that Go code, which is all but s390x. e2 is read
 // only when 0.625 <= |x| <= 44.01.
 func tanhExp(x, e2 float64) float64 {
-	const maxLog = 8.8029691931113054295988e+01 // log(2**127)
 	z := math.Abs(x)
 	switch {
-	case z > 0.5*maxLog:
+	case z > 0.5*tanhMaxLog:
 		if x < 0 {
 			return -1
 		}

@@ -21,21 +21,21 @@ func (t *Tape) matMulF32(a, b *V) *V {
 func (t *Tape) addF32(a, b *V) *V {
 	aw, bw := f32w(a), f32w(b)
 	if b.R == 1 && a.C == b.C && a.R != 1 {
-		out := t.new(a.R, a.C)
+		out := t.newDirty(a.R, a.C)
 		for i := 0; i < a.R; i++ {
 			vadd32(out.W32[i*a.C:(i+1)*a.C], aw[i*a.C:(i+1)*a.C], bw)
 		}
 		return out
 	}
 	sameShape("Add", a, b)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	vadd32(out.W32, aw, bw)
 	return out
 }
 
 func (t *Tape) subF32(a, b *V) *V {
 	aw, bw := f32w(a), f32w(b)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W32 {
 		out.W32[i] = aw[i] - bw[i]
 	}
@@ -44,7 +44,7 @@ func (t *Tape) subF32(a, b *V) *V {
 
 func (t *Tape) mulF32(a, b *V) *V {
 	aw, bw := f32w(a), f32w(b)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W32 {
 		out.W32[i] = aw[i] * bw[i]
 	}
@@ -53,7 +53,7 @@ func (t *Tape) mulF32(a, b *V) *V {
 
 func (t *Tape) scaleF32(a *V, s float64) *V {
 	aw, sf := f32w(a), float32(s)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range out.W32 {
 		out.W32[i] = aw[i] * sf
 	}
@@ -66,7 +66,7 @@ func (t *Tape) scaleF32(a *V, s float64) *V {
 // expv32's vector-vs-scalar ulps.
 func (t *Tape) sigmoidF32(a *V) *V {
 	aw := f32w(a)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	ow := out.W32
 	for i, x := range aw {
 		ow[i] = -x
@@ -83,7 +83,7 @@ func (t *Tape) sigmoidF32(a *V) *V {
 // NaN edges restored per element from the original input.
 func (t *Tape) tanhF32(a *V) *V {
 	aw := f32w(a)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	ow := out.W32
 	for i, x := range aw {
 		if x < 0 {
@@ -122,7 +122,7 @@ func (t *Tape) reluF32(a *V) *V {
 }
 
 func (t *Tape) concatColsF32(r, c int, vs []*V) *V {
-	out := t.new(r, c)
+	out := t.newDirty(r, c)
 	off := 0
 	for _, v := range vs {
 		vw := f32w(v)
@@ -136,7 +136,7 @@ func (t *Tape) concatColsF32(r, c int, vs []*V) *V {
 
 func (t *Tape) sliceColsF32(a *V, lo, hi int) *V {
 	aw := f32w(a)
-	out := t.new(a.R, hi-lo)
+	out := t.newDirty(a.R, hi-lo)
 	for i := 0; i < a.R; i++ {
 		copy(out.W32[i*out.C:(i+1)*out.C], aw[i*a.C+lo:i*a.C+hi])
 	}
@@ -145,7 +145,7 @@ func (t *Tape) sliceColsF32(a *V, lo, hi int) *V {
 
 func (t *Tape) rowsF32(a *V, idx []int) *V {
 	aw := f32w(a)
-	out := t.new(len(idx), a.C)
+	out := t.newDirty(len(idx), a.C)
 	for i, id := range idx {
 		if id < 0 || id >= a.R {
 			panic(fmt.Sprintf("ad: Rows index %d out of %d", id, a.R))
@@ -236,7 +236,7 @@ func softmaxRowMasked32(out, row []float32, mask []float64) {
 }
 
 func (t *Tape) stackRowsF32(vs []*V, T, B, C int) *V {
-	out := t.new(B*T, C)
+	out := t.newDirty(B*T, C)
 	for tt, v := range vs {
 		if v.R != B || v.C != C {
 			panic("ad: StackRows shape mismatch")
@@ -262,7 +262,7 @@ func (t *Tape) maskRowsF32(a *V, mask []float64) *V {
 
 func (t *Tape) blendF32(a, b *V, mask []float64) *V {
 	aw, bw := f32w(a), f32w(b)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		src := bw
 		if mask[i] != 0 {
@@ -276,7 +276,7 @@ func (t *Tape) blendF32(a, b *V, mask []float64) *V {
 func (t *Tape) layerNormF32(a, gain, bias *V, eps float64) *V {
 	R, C := a.R, a.C
 	aw, gw, bw := f32w(a), f32w(gain), f32w(bias)
-	out := t.new(R, C)
+	out := t.newDirty(R, C)
 	for i := 0; i < R; i++ {
 		row := aw[i*C : (i+1)*C]
 		// Mean and variance accumulate in float64: C terms of cancellation
@@ -307,7 +307,7 @@ func (t *Tape) addRowsConstF32(a *V, c []float64) *V {
 		panic("ad: AddRowsConst length mismatch")
 	}
 	aw := f32w(a)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range aw {
 		out.W32[i] = aw[i] + float32(c[i])
 	}
@@ -316,7 +316,7 @@ func (t *Tape) addRowsConstF32(a *V, c []float64) *V {
 
 func (t *Tape) gatherRowBlocksF32(a *V, idx []int, block, nb, stride int) *V {
 	aw := f32w(a)
-	out := t.new(len(idx)*block, a.C)
+	out := t.newDirty(len(idx)*block, a.C)
 	for i, id := range idx {
 		if id < 0 || id >= nb {
 			panic(fmt.Sprintf("ad: GatherRowBlocks index %d out of %d blocks", id, nb))
@@ -339,7 +339,7 @@ func (t *Tape) stackRowBlocksF32(vs []*V, block, C int) *V {
 
 func (t *Tape) logSoftmaxRowsF32(a *V) *V {
 	aw := f32w(a)
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		logSoftmaxRow32(out.W32[i*a.C:(i+1)*a.C], aw[i*a.C:(i+1)*a.C])
 	}

@@ -291,6 +291,26 @@ func TestPoolSizeClassesBoundRetention(t *testing.T) {
 	}
 }
 
+// TestClassOrdinalDense: the pool's free lists are indexed by size-class
+// ordinal, so every element count must share its class's ordinal, and
+// the ordinals must number the classes 0, 1, 2, … in increasing order.
+func TestClassOrdinalDense(t *testing.T) {
+	prev, prevOrd := 0, 0
+	for n := 1; n <= 1<<16; n++ {
+		cls := sizeClass(n)
+		if o, oc := classOrdinal(n), classOrdinal(cls); o != oc {
+			t.Fatalf("classOrdinal(%d) = %d, its class %d has %d", n, o, cls, oc)
+		}
+		if cls == prev {
+			continue
+		}
+		if o := classOrdinal(cls); o != prevOrd+1 {
+			t.Fatalf("class %d after %d has ordinal %d, want %d", cls, prev, o, prevOrd+1)
+		}
+		prev, prevOrd = cls, prevOrd+1
+	}
+}
+
 // TestForwardTapeRecordsNothing ensures inference tapes stay empty.
 func TestForwardTapeRecordsNothing(t *testing.T) {
 	tape := NewForward(NewPool())

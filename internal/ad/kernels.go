@@ -20,11 +20,13 @@ import "sync"
 // data-dependent branch inside the micro-kernel costs more than the
 // loads it saves. matmulNT has no skip semantics, so it keeps a classic
 // 4x4 register micro-kernel (sixteen independent accumulator chains)
-// with a panel-packed b for tall a. Remainder rows of matmul and
-// matmulTN run a per-row skip-zero axpy, so they share the vector axpy
-// below; matmulNT's remainder rows and columns fall through to its
-// scalar kernel. The scalar kernels double as the oracle reference in
-// kernels_test.go.
+// with a panel-packed b for tall a. matmul's remainder rows (the 1–3
+// after its last full band) form a partial band that runs the same band
+// logic on the vector kernels (matmulPartialBand), and a per-row
+// skip-zero axpy on the pure-Go path; matmulTN's remainder rows run the
+// per-row axpy, and matmulNT's remainder rows and columns fall through
+// to its scalar kernel. The scalar kernels double as the oracle
+// reference in kernels_test.go.
 //
 // On amd64 hosts with AVX2 the all-nonzero band fast path and axpy
 // dispatch to vector micro-kernels (kernels_amd64.s). Each f64 vector
@@ -32,10 +34,8 @@ import "sync"
 // reference is the scalar kernels, which round every multiply and add,
 // so they use separate VMULPD/VADDPD (an FMA's single rounding would
 // diverge): each SIMD lane executes exactly the scalar op sequence and
-// the bitwise contract below is preserved.
-// Only multi-row (r >= blockDim) calls reach the band kernel: this is
-// what batching beam hypotheses into one GEMM buys, since batch-size-1
-// matvecs never form a band and run one axpy per nonzero coefficient.
+// the bitwise contract below is preserved. The band kernel takes its
+// row count, 1–4, so a single-row matvec runs it as a one-row band.
 //
 // Bitwise contract: every kernel reproduces the scalar kernels' result
 // exactly — for each out[i,j], partial products accumulate in ascending-p
@@ -93,7 +93,7 @@ func matmul(out, a, b []float64, r, k, c int) {
 				av10 != 0 && av11 != 0 && av12 != 0 && av13 != 0 {
 				if useAVX2 && c >= avxMinC {
 					av := [8]float64{av00, av01, av02, av03, av10, av11, av12, av13}
-					band2pAVX2(&o0[0], &o1[0], &o2[0], &o3[0], &bp[0], &bq[0], &av, c)
+					band2pAVX2(&o0[0], &o1[0], &o2[0], &o3[0], &bp[0], &bq[0], &av, c, blockDim)
 					continue
 				}
 				for j, bv0 := range bp {
@@ -152,14 +152,64 @@ func matmul(out, a, b []float64, r, k, c int) {
 			}
 		}
 	}
+	if ib == r {
+		return
+	}
+	if useAVX2 && c >= avxMinC {
+		matmulPartialBand(out[ib*c:r*c], a[ib*k:r*k], b, r-ib, k, c)
+		return
+	}
 	// Remainder rows: per-row skip-zero axpy in ascending p, the scalar
-	// kernel's exact per-element chain, on the vector axpy.
+	// kernel's exact per-element chain.
 	for i := ib; i < r; i++ {
 		ai := a[i*k : i*k+k : i*k+k]
 		oi := out[i*c : i*c+c : i*c+c]
 		for p, av := range ai {
 			if av != 0 {
 				axpy(oi, b[p*c:p*c+c:p*c+c], av)
+			}
+		}
+	}
+}
+
+// matmulPartialBand is matmul's band step on its last rr < blockDim
+// rows, for the vector kernels: each pair of p steps runs band2pAVX2 on
+// rr rows when all rr×2 coefficients are nonzero, and per-row skip-zero
+// axpy otherwise, exactly as a full band does. out is [rr,c], a [rr,k].
+func matmulPartialBand(out, a, b []float64, rr, k, c int) {
+	var o [blockDim]*float64
+	for i := 0; i < rr; i++ {
+		o[i] = &out[i*c]
+	}
+	p := 0
+	for ; p+1 < k; p += 2 {
+		bp := b[p*c : p*c+c : p*c+c]
+		bq := b[(p+1)*c : (p+1)*c+c : (p+1)*c+c]
+		var av [8]float64
+		nz := true
+		for i := 0; i < rr; i++ {
+			av[i], av[4+i] = a[i*k+p], a[i*k+p+1]
+			nz = nz && av[i] != 0 && av[4+i] != 0
+		}
+		if nz {
+			band2pAVX2(o[0], o[1], o[2], o[3], &bp[0], &bq[0], &av, c, rr)
+			continue
+		}
+		for i := 0; i < rr; i++ {
+			oi := out[i*c : i*c+c : i*c+c]
+			if av[i] != 0 {
+				axpy(oi, bp, av[i])
+			}
+			if av[4+i] != 0 {
+				axpy(oi, bq, av[4+i])
+			}
+		}
+	}
+	if p < k { // odd k tail
+		bp := b[p*c : p*c+c : p*c+c]
+		for i := 0; i < rr; i++ {
+			if av := a[i*k+p]; av != 0 {
+				axpy(out[i*c:i*c+c:i*c+c], bp, av)
 			}
 		}
 	}
@@ -323,7 +373,7 @@ func matmulTN(out, a, b []float64, r, k, c int) {
 				av10 != 0 && av11 != 0 && av12 != 0 && av13 != 0 {
 				if useAVX2 && c >= avxMinC {
 					av := [8]float64{av00, av01, av02, av03, av10, av11, av12, av13}
-					band2pAVX2(&o0[0], &o1[0], &o2[0], &o3[0], &bp[0], &bq[0], &av, c)
+					band2pAVX2(&o0[0], &o1[0], &o2[0], &o3[0], &bp[0], &bq[0], &av, c, blockDim)
 					continue
 				}
 				for j, bv0 := range bp {

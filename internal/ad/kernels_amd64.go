@@ -12,21 +12,24 @@ package ad
 // TestBandKernelAVX2Bitwise and the kernel oracle enforce it. vexpFMA's
 // reference is math.Exp, whose amd64 assembly fuses its multiply-adds
 // under the same AVX+FMA gate, so it uses FMA exactly where math.Exp
-// does (TestExpvMatchesMathExp).
+// does (TestExpvMatchesMathExp). lstmCellAVX2's reference is the Go
+// cell loop: its exponentials expand vexpFMA's own macro, and every
+// other step rounds as the Go code does (FuzzLSTMCell).
 
 // avxMinC is the minimum row width before band2pAVX2 pays for its call
 // overhead; every model GEMM (gate, projection, vocabulary widths) is
 // far above it.
 const avxMinC = 8
 
-// band2pAVX2 applies two fused axpy steps to a four-row band:
+// band2pAVX2 applies two fused axpy steps to a band of 1–4 rows:
 //
-//	o_r[j] = (o_r[j] + av[r]*bp[j]) + av[4+r]*bq[j]   r=0..3, j=0..n-1
+//	o_r[j] = (o_r[j] + av[r]*bp[j]) + av[4+r]*bq[j]   r<rows, j<n
 //
-// matching the all-nonzero fast path of matmul/matmulTN bitwise.
+// matching the all-nonzero fast path of matmul/matmulTN bitwise. The
+// pointers and coefficients of rows past rows are never read.
 //
 //go:noescape
-func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n int)
+func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n, rows int)
 
 // axpyAVX2 computes o[j] += s*b[j] for j=0..n-1; s is nonzero.
 //
@@ -54,7 +57,21 @@ func ntPanelAVX2(s *[16]float64, a0, a1, a2, a3, panel *float64, k int)
 // expConsts.
 //
 //go:noescape
-func vexpFMA(o, x *float64, n int, consts *[64]float64) int
+func vexpFMA(o, x *float64, n int, consts *[104]float64) int
+
+// lstmCellAVX2 computes hidden units 0..n-1 of one live row of
+// lstmCellFused (n a multiple of 4, n <= H) into h and c, four units
+// per vector, bitwise equal to the Go loop: its exponentials expand the
+// same macro as vexpFMA, and every other value is rounded where the Go
+// code rounds (VDIVPD, separate VMULPD/VADDPD, tanhExp's regimes as
+// compare masks). x, w and b are the row's [4H] gate operands, cp its
+// previous cell. It returns false, with h and c partly written, when a
+// sigmoid's exp argument -z leaves [-708, 709] or is NaN; it reads
+// nothing it writes, so the caller can recompute the row. FMA hosts
+// only (useFMA), like vexpFMA.
+//
+//go:noescape
+func lstmCellAVX2(h, c, x, w, b, cp *float64, n, H int, consts *[104]float64) bool
 
 // The float32 kernels below serve the f32 inference tier
 // (kernels_f32.go): 8-lane VFMADD231PS, one rounding per multiply-add

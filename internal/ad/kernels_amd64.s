@@ -2,12 +2,15 @@
 
 #include "textflag.h"
 
-// func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n int)
+// func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n, rows int)
 //
-// For each j: o_r[j] = (o_r[j] + av[r]*bp[j]) + av[4+r]*bq[j], r=0..3.
+// For each j: o_r[j] = (o_r[j] + av[r]*bp[j]) + av[4+r]*bq[j], r=0..rows-1.
 // VMULPD/VADDPD only — FMA would fuse the two roundings the scalar code
-// performs and break bitwise equality with the Go kernels.
-TEXT ·band2pAVX2(SB), NOSPLIT, $0-64
+// performs and break bitwise equality with the Go kernels. A full band
+// (rows == 4) runs the straight loops below; a partial band (1–3 rows)
+// runs the same per-row steps in the band3 loops, which test the row
+// count after row 0 and never touch the pointers of absent rows.
+TEXT ·band2pAVX2(SB), NOSPLIT, $0-72
 	MOVQ o0+0(FP), R8
 	MOVQ o1+8(FP), R9
 	MOVQ o2+16(FP), R10
@@ -16,6 +19,7 @@ TEXT ·band2pAVX2(SB), NOSPLIT, $0-64
 	MOVQ bq+40(FP), R13
 	MOVQ av+48(FP), AX
 	MOVQ n+56(FP), CX
+	MOVQ rows+64(FP), SI
 
 	// Broadcast the eight band coefficients once.
 	VBROADCASTSD 0(AX), Y0  // av00 (row 0, column p)
@@ -30,6 +34,8 @@ TEXT ·band2pAVX2(SB), NOSPLIT, $0-64
 	XORQ DX, DX             // j
 	MOVQ CX, BX
 	ANDQ $-4, BX            // vector loop end (n & ^3)
+	CMPQ SI, $4
+	JLT  band3
 
 loop4:
 	CMPQ DX, BX
@@ -112,6 +118,77 @@ tail:
 
 	INCQ DX
 	JMP  tail
+
+	// Partial band: rows 1 and 2 only where present.
+band3:
+	CMPQ DX, BX
+	JGE  band3tail
+	VMOVUPD (R12)(DX*8), Y8
+	VMOVUPD (R13)(DX*8), Y9
+
+	VMOVUPD (R8)(DX*8), Y10
+	VMULPD  Y8, Y0, Y11
+	VADDPD  Y11, Y10, Y10
+	VMULPD  Y9, Y4, Y11
+	VADDPD  Y11, Y10, Y10
+	VMOVUPD Y10, (R8)(DX*8)
+	CMPQ    SI, $2
+	JLT     band3next
+
+	VMOVUPD (R9)(DX*8), Y10
+	VMULPD  Y8, Y1, Y11
+	VADDPD  Y11, Y10, Y10
+	VMULPD  Y9, Y5, Y11
+	VADDPD  Y11, Y10, Y10
+	VMOVUPD Y10, (R9)(DX*8)
+	CMPQ    SI, $3
+	JLT     band3next
+
+	VMOVUPD (R10)(DX*8), Y10
+	VMULPD  Y8, Y2, Y11
+	VADDPD  Y11, Y10, Y10
+	VMULPD  Y9, Y6, Y11
+	VADDPD  Y11, Y10, Y10
+	VMOVUPD Y10, (R10)(DX*8)
+
+band3next:
+	ADDQ $4, DX
+	JMP  band3
+
+band3tail:
+	CMPQ DX, CX
+	JGE  done
+	VMOVSD (R12)(DX*8), X8
+	VMOVSD (R13)(DX*8), X9
+
+	VMOVSD (R8)(DX*8), X10
+	VMULSD X8, X0, X11
+	VADDSD X11, X10, X10
+	VMULSD X9, X4, X11
+	VADDSD X11, X10, X10
+	VMOVSD X10, (R8)(DX*8)
+	CMPQ   SI, $2
+	JLT    band3tailnext
+
+	VMOVSD (R9)(DX*8), X10
+	VMULSD X8, X1, X11
+	VADDSD X11, X10, X10
+	VMULSD X9, X5, X11
+	VADDSD X11, X10, X10
+	VMOVSD X10, (R9)(DX*8)
+	CMPQ   SI, $3
+	JLT    band3tailnext
+
+	VMOVSD (R10)(DX*8), X10
+	VMULSD X8, X2, X11
+	VADDSD X11, X10, X10
+	VMULSD X9, X6, X11
+	VADDSD X11, X10, X10
+	VMOVSD X10, (R10)(DX*8)
+
+band3tailnext:
+	INCQ DX
+	JMP  band3tail
 
 done:
 	VZEROUPPER
@@ -561,19 +638,60 @@ vadone:
 	VZEROUPPER
 	RET
 
-// func vexpFMA(o, x *float64, n int, consts *[64]float64) int
+// VEXPFMA(x, t, p, nx, ny) replaces each lane of x with math.Exp(x),
+// bit for bit, for lanes inside [-708, 709]: a 4-lane port of the FMA
+// path of math.Exp (Go's math/exp_amd64.s). t, p and ny are scratch Y
+// registers, nx is ny's X half. R14 points at expConsts: 0 lo, 32 hi,
+// 64 log2e, 96 ln2u, 128 ln2l, 160 1/16, 192..384 the Taylor
+// coefficients 1/8! .. 1/2!, 416 one, 448 two, 480 the exponent bias
+// (qwords).
 //
-// 4-lane port of the FMA path of math.Exp (Go's math/exp_amd64.s), so
-// every lane is bitwise equal to math.Exp on hosts where math.Exp takes
-// that path; n is a multiple of 4. consts points at expConsts: 16
-// pre-broadcast 4-lane rows at 32-byte offsets — 0 lo, 32 hi, 64 log2e,
-// 96 ln2u, 128 ln2l, 160 1/16, 192..384 the Taylor coefficients
-// 1/8! .. 1/2!, 416 one, 448 two, 480 the exponent bias (qwords).
-// Only the scalar's finite, normal-result path is ported: a chunk with
-// a lane outside [lo, hi] or NaN (the ordered compares fail) is left
-// unwritten and the kernel returns its offset for the caller to finish
-// with math.Exp. Inside [lo, hi] the exponent n+1023 lies in [1, 2046],
-// so the scalar's ldexp reduces to one multiply by 2^n.
+// n = rne(x*log2e), rounded per MXCSR like CVTSD2SL; r = (x - n*ln2u -
+// n*ln2l) / 16, fused as in the scalar's VFNMADD231SD steps; the Taylor
+// series p = p*r + c from 1/8! down to one; y = r*p = e^r - 1, squared
+// back up four times as y = y*(y+2), the last one fused with the final
+// +1; then y * 2^n, with 2^n built from its exponent field. Inside
+// [lo, hi] the exponent n+1023 lies in [1, 2046], so the scalar's ldexp
+// reduces to that one multiply. vexpFMA and lstmCellAVX2 both expand
+// this one macro, so TestExpvMatchesMathExp pins every exponential the
+// kernels take.
+#define VEXPFMA(x, t, p, nx, ny) \
+	VMULPD       64(R14), x, t; \
+	VCVTPD2DQY   t, nx; \
+	VCVTDQ2PD    nx, t; \
+	VFNMADD231PD 96(R14), t, x; \
+	VFNMADD231PD 128(R14), t, x; \
+	VMULPD       160(R14), x, x; \
+	VMOVUPD      192(R14), p; \
+	VFMADD213PD  224(R14), x, p; \
+	VFMADD213PD  256(R14), x, p; \
+	VFMADD213PD  288(R14), x, p; \
+	VFMADD213PD  320(R14), x, p; \
+	VFMADD213PD  352(R14), x, p; \
+	VFMADD213PD  384(R14), x, p; \
+	VFMADD213PD  416(R14), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       448(R14), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       448(R14), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       448(R14), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       448(R14), x, p; \
+	VFMADD213PD  416(R14), p, x; \
+	VPMOVSXDQ    nx, ny; \
+	VPADDQ       480(R14), ny, ny; \
+	VPSLLQ       $52, ny, ny; \
+	VMULPD       ny, x, x
+
+// func vexpFMA(o, x *float64, n int, consts *[104]float64) int
+//
+// o[i] = math.Exp(x[i]) through VEXPFMA, four lanes at a time, so every
+// lane is bitwise equal to math.Exp on hosts where math.Exp takes its
+// FMA path; n is a multiple of 4. Only the scalar's finite,
+// normal-result path is ported: a chunk with a lane outside [lo, hi] or
+// NaN (the ordered compares fail) is left unwritten and the kernel
+// returns its offset for the caller to finish with math.Exp.
 TEXT ·vexpFMA(SB), NOSPLIT, $0-40
 	MOVQ o+0(FP), R8
 	MOVQ x+8(FP), R9
@@ -594,42 +712,7 @@ vdloop:
 	CMPQ      AX, $15
 	JNE       vddone
 
-	// n = rne(x*log2e); r = (x - n*ln2u - n*ln2l) / 16, fused as in
-	// the scalar's VFNMADD231SD steps.
-	VMULPD       64(R14), Y0, Y1
-	VCVTPD2DQY   Y1, X6             // n, rounded per MXCSR like CVTSD2SL
-	VCVTDQ2PD    X6, Y1
-	VFNMADD231PD 96(R14), Y1, Y0
-	VFNMADD231PD 128(R14), Y1, Y0
-	VMULPD       160(R14), Y0, Y0
-
-	// Taylor series: p = p*r + c, from 1/8! down to one.
-	VMOVUPD     192(R14), Y2
-	VFMADD213PD 224(R14), Y0, Y2
-	VFMADD213PD 256(R14), Y0, Y2
-	VFMADD213PD 288(R14), Y0, Y2
-	VFMADD213PD 320(R14), Y0, Y2
-	VFMADD213PD 352(R14), Y0, Y2
-	VFMADD213PD 384(R14), Y0, Y2
-	VFMADD213PD 416(R14), Y0, Y2
-	VMULPD      Y2, Y0, Y0          // y = r*p = e^r - 1
-
-	// Square back up four times: y = y*(y+2), the last one fused with
-	// the final +1.
-	VADDPD      448(R14), Y0, Y2
-	VMULPD      Y2, Y0, Y0
-	VADDPD      448(R14), Y0, Y2
-	VMULPD      Y2, Y0, Y0
-	VADDPD      448(R14), Y0, Y2
-	VMULPD      Y2, Y0, Y0
-	VADDPD      448(R14), Y0, Y2
-	VFMADD213PD 416(R14), Y2, Y0
-
-	// y * 2^n, with 2^n built from its exponent field.
-	VPMOVSXDQ X6, Y6
-	VPADDQ    480(R14), Y6, Y6
-	VPSLLQ    $52, Y6, Y6
-	VMULPD    Y6, Y0, Y0
+	VEXPFMA(Y0, Y1, Y2, X6, Y6)
 
 	VMOVUPD Y0, (R8)(DX*8)
 	ADDQ    $4, DX
@@ -637,5 +720,243 @@ vdloop:
 
 vddone:
 	MOVQ DX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// TANHEXP(x, e, t1, t2, t3) replaces each lane of e with tanhExp(x, e):
+// x holds the arguments and is kept, e holds exp(2|x|) wherever 0.625
+// <= |x| <= 44.01 and anything finite elsewhere. A lane takes one of
+// tanhExp's regimes, picked by masks in its order of precedence: the
+// Cephes rational form x + (x*s)*P(s)/Q(s) with s = x*x; 1 - 2/(e+1)
+// with x's sign where |x| >= 0.625; x itself where x == 0 (so ±0 keeps
+// its sign); ±1 where |x| > 44.01. The two forms' quotients share one
+// VDIVPD, its numerator and denominator chosen per lane. A NaN fails
+// every compare and takes the rational form, which carries x's NaN as
+// the scalar does. Each value is rounded where the scalar rounds: no
+// FMA. t1-t3 are scratch; reads one from Y15 and expConsts at R14 (448
+// two, 512 |x| mask, 544 sign mask, 576 0.625, 608 44.01, 640..704 P,
+// 736..800 Q).
+#define TANHEXP(x, e, t1, t2, t3) \
+	VMULPD    x, x, t1; \
+	VMULPD    640(R14), t1, t2; \
+	VADDPD    672(R14), t2, t2; \
+	VMULPD    t1, t2, t2; \
+	VADDPD    704(R14), t2, t2; \
+	VADDPD    736(R14), t1, t3; \
+	VMULPD    t1, t3, t3; \
+	VADDPD    768(R14), t3, t3; \
+	VMULPD    t1, t3, t3; \
+	VADDPD    800(R14), t3, t3; \
+	VMULPD    x, t1, t1; \
+	VMULPD    t2, t1, t1; \
+	VADDPD    Y15, e, e; \
+	VANDPD    512(R14), x, t2; \
+	VCMPPD    $13, 576(R14), t2, t2; \
+	VBLENDVPD t2, e, t3, t3; \
+	VMOVUPD   448(R14), e; \
+	VBLENDVPD t2, e, t1, t1; \
+	VDIVPD    t3, t1, t1; \
+	VSUBPD    t1, Y15, e; \
+	VANDPD    544(R14), x, t3; \
+	VXORPD    t3, e, e; \
+	VADDPD    x, t1, t1; \
+	VBLENDVPD t2, e, t1, t1; \
+	VXORPD    t2, t2, t2; \
+	VCMPPD    $0, t2, x, t2; \
+	VBLENDVPD t2, x, t1, t1; \
+	VORPD     Y15, t3, t3; \
+	VANDPD    512(R14), x, t2; \
+	VCMPPD    $14, 608(R14), t2, t2; \
+	VBLENDVPD t2, t3, t1, e
+
+// The cell kernel's steps for one 4-unit chunk at byte offset off of
+// the row pointers (SI x, DI w, R8 b, R11 cp, R12 c, R13 h; gate
+// strides R9 and R10 = 3*R9). Each step runs on one chunk's registers,
+// so the loop can interleave two chunks' independent chains.
+//
+// CELLARGS: i, f, o = -((x + w) + b) of their gates, the sigmoids' exp
+// arguments; g = z_g, kept for tanh; e = 2|z_g| clamped to 709 (NaN
+// too, by VMINPD's operand order): tanhExp reads its exp only when
+// 2|x| <= 88.03, so a clamped value is never used.
+#define CELLARGS(off, i, f, o, g, e) \
+	VMOVUPD off(SI), i; \
+	VADDPD  off(DI), i, i; \
+	VADDPD  off(R8), i, i; \
+	VXORPD  544(R14), i, i; \
+	VMOVUPD off(SI)(R9*1), f; \
+	VADDPD  off(DI)(R9*1), f, f; \
+	VADDPD  off(R8)(R9*1), f, f; \
+	VXORPD  544(R14), f, f; \
+	VMOVUPD off(SI)(R10*1), o; \
+	VADDPD  off(DI)(R10*1), o, o; \
+	VADDPD  off(R8)(R10*1), o, o; \
+	VXORPD  544(R14), o, o; \
+	VMOVUPD off(SI)(R9*2), g; \
+	VADDPD  off(DI)(R9*2), g, g; \
+	VADDPD  off(R8)(R9*2), g, g; \
+	VANDPD  512(R14), g, e; \
+	VADDPD  e, e, e; \
+	VMINPD  32(R14), e, e
+
+// CELLRANGE ands into m the lanes whose three sigmoid arguments lie in
+// [-708, 709] (GE_OS and LE_OS fail on NaN); t is scratch.
+#define CELLRANGE(i, f, o, m, t) \
+	VCMPPD $13, (R14), i, t; \
+	VANDPD t, m, m; \
+	VCMPPD $2, 32(R14), i, t; \
+	VANDPD t, m, m; \
+	VCMPPD $13, (R14), f, t; \
+	VANDPD t, m, m; \
+	VCMPPD $2, 32(R14), f, t; \
+	VANDPD t, m, m; \
+	VCMPPD $13, (R14), o, t; \
+	VANDPD t, m, m; \
+	VCMPPD $2, 32(R14), o, t; \
+	VANDPD t, m, m
+
+// SIGMOID turns exp(-z) into σ(z) = 1/(1+exp(-z)).
+#define SIGMOID(e) \
+	VADDPD Y15, e, e; \
+	VDIVPD e, Y15, e
+
+// CELLSTATE forms c = σ(f)*cp + σ(i)*g, each product rounded, stores
+// it, and leaves 2|c| clamped to 709 in e for tanh(c).
+#define CELLSTATE(off, i, f, g, e) \
+	VMULPD  off(R11), f, f; \
+	VMULPD  g, i, i; \
+	VADDPD  i, f, f; \
+	VMOVUPD f, off(R12); \
+	VANDPD  512(R14), f, e; \
+	VADDPD  e, e, e; \
+	VMINPD  32(R14), e, e
+
+// func lstmCellAVX2(h, c, x, w, b, cp *float64, n, H int, consts *[104]float64) bool
+//
+// One live row of lstmCellFused over hidden units 0..n-1 (n a multiple
+// of 4, n <= H), four units per vector: x, w and b are the row's [4H]
+// gate pre-activations (blocks i, f, g, o at strides of H), cp its
+// previous cell. Per unit, exactly the scalar's operations:
+//
+//	z_q = (x_q + w_q) + b_q
+//	σ(z_q) = 1/(1 + exp(-z_q))              q = i, f, o
+//	g = tanhExp(z_g, exp(2|z_g|))
+//	c = σ(z_f)*cp + σ(z_i)*g                two products, then the sum
+//	h = σ(z_o) * tanhExp(c, exp(2|c|))
+//
+// with VDIVPD for every quotient (IEEE division is correctly rounded,
+// like DIVSD) and separate VMULPD/VADDPD everywhere outside the shared
+// exp macro. A unit's chain runs through two exponentials, two tanh
+// forms and three divisions back to back, so the main loop interleaves
+// two chunks (8 units) to keep two chains in flight; a last odd chunk
+// runs alone. It returns false, possibly after writing part of h and
+// c, at the first step whose sigmoid exp arguments leave [-708, 709]
+// or are NaN; it reads only x, w, b and cp, so the caller recomputes
+// that row in Go.
+TEXT ·lstmCellAVX2(SB), NOSPLIT, $0-73
+	MOVQ h+0(FP), R13
+	MOVQ c+8(FP), R12
+	MOVQ x+16(FP), SI
+	MOVQ w+24(FP), DI
+	MOVQ b+32(FP), R8
+	MOVQ cp+40(FP), R11
+	MOVQ n+48(FP), CX
+	MOVQ H+56(FP), R9
+	MOVQ consts+64(FP), R14
+
+	SHLQ    $3, R9                  // gate block stride in bytes
+	LEAQ    (R9)(R9*2), R10         // 3 strides: the o block
+	VMOVUPD 416(R14), Y15           // one
+
+	// Chunks A (Y0-Y4: i, f, o, g, e) and B (Y5-Y9); Y10-Y13 scratch.
+cellloop8:
+	CMPQ CX, $8
+	JLT  cellloop4
+
+	CELLARGS(0, Y0, Y1, Y2, Y3, Y4)
+	CELLARGS(32, Y5, Y6, Y7, Y8, Y9)
+	VPCMPEQQ  Y13, Y13, Y13
+	CELLRANGE(Y0, Y1, Y2, Y13, Y10)
+	CELLRANGE(Y5, Y6, Y7, Y13, Y10)
+	VMOVMSKPD Y13, AX
+	CMPQ      AX, $15
+	JNE       celldecline
+
+	VEXPFMA(Y0, Y10, Y11, X12, Y12)
+	VEXPFMA(Y5, Y10, Y11, X12, Y12)
+	VEXPFMA(Y1, Y10, Y11, X12, Y12)
+	VEXPFMA(Y6, Y10, Y11, X12, Y12)
+	VEXPFMA(Y2, Y10, Y11, X12, Y12)
+	VEXPFMA(Y7, Y10, Y11, X12, Y12)
+	VEXPFMA(Y4, Y10, Y11, X12, Y12)
+	VEXPFMA(Y9, Y10, Y11, X12, Y12)
+	SIGMOID(Y0)
+	SIGMOID(Y5)
+	SIGMOID(Y1)
+	SIGMOID(Y6)
+	SIGMOID(Y2)
+	SIGMOID(Y7)
+	TANHEXP(Y3, Y4, Y10, Y11, Y12)  // g
+	TANHEXP(Y8, Y9, Y10, Y11, Y12)
+	CELLSTATE(0, Y0, Y1, Y4, Y3)
+	CELLSTATE(32, Y5, Y6, Y9, Y8)
+	VEXPFMA(Y3, Y10, Y11, X12, Y12)
+	VEXPFMA(Y8, Y10, Y11, X12, Y12)
+	TANHEXP(Y1, Y3, Y10, Y11, Y12)  // tanh(c)
+	TANHEXP(Y6, Y8, Y10, Y11, Y12)
+	VMULPD  Y3, Y2, Y2              // h = σ(o) * tanh(c)
+	VMOVUPD Y2, (R13)
+	VMULPD  Y8, Y7, Y7
+	VMOVUPD Y7, 32(R13)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, R8
+	ADDQ $64, R11
+	ADDQ $64, R12
+	ADDQ $64, R13
+	SUBQ $8, CX
+	JMP  cellloop8
+
+cellloop4:
+	CMPQ CX, $0
+	JLE  cellok
+
+	CELLARGS(0, Y0, Y1, Y2, Y3, Y4)
+	VPCMPEQQ  Y13, Y13, Y13
+	CELLRANGE(Y0, Y1, Y2, Y13, Y10)
+	VMOVMSKPD Y13, AX
+	CMPQ      AX, $15
+	JNE       celldecline
+
+	VEXPFMA(Y0, Y10, Y11, X12, Y12)
+	VEXPFMA(Y1, Y10, Y11, X12, Y12)
+	VEXPFMA(Y2, Y10, Y11, X12, Y12)
+	VEXPFMA(Y4, Y10, Y11, X12, Y12)
+	SIGMOID(Y0)
+	SIGMOID(Y1)
+	SIGMOID(Y2)
+	TANHEXP(Y3, Y4, Y10, Y11, Y12)
+	CELLSTATE(0, Y0, Y1, Y4, Y3)
+	VEXPFMA(Y3, Y10, Y11, X12, Y12)
+	TANHEXP(Y1, Y3, Y10, Y11, Y12)
+	VMULPD  Y3, Y2, Y2
+	VMOVUPD Y2, (R13)
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, R11
+	ADDQ $32, R12
+	ADDQ $32, R13
+	SUBQ $4, CX
+	JMP  cellloop4
+
+cellok:
+	MOVB $1, ret+72(FP)
+	VZEROUPPER
+	RET
+
+celldecline:
+	MOVB $0, ret+72(FP)
 	VZEROUPPER
 	RET

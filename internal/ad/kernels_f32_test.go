@@ -448,7 +448,7 @@ func TestTrainingDispatchBitwise(t *testing.T) {
 // byte-based high-water mark accounts 4 bytes per f32 element.
 func TestF32PoolRecycling(t *testing.T) {
 	p := NewPool()
-	v := p.get32(4, 8)
+	v := p.get32(4, 8, true)
 	if len(v.W32) != 32 || len(v.W) != 0 {
 		t.Fatalf("get32 storage: len(W32)=%d len(W)=%d", len(v.W32), len(v.W))
 	}
@@ -457,7 +457,7 @@ func TestF32PoolRecycling(t *testing.T) {
 	}
 	v.W32[0] = 7
 	p.put(v)
-	v2 := p.get32(8, 4)
+	v2 := p.get32(8, 4, true)
 	if v2 != v {
 		t.Fatal("released f32 buffer was not recycled for the next f32 request")
 	}
@@ -465,7 +465,7 @@ func TestF32PoolRecycling(t *testing.T) {
 		t.Fatal("recycled f32 buffer not zeroed")
 	}
 	p.put(v2)
-	v3 := p.get(8, 4)
+	v3 := p.get(8, 4, true)
 	if v3 == v {
 		t.Fatal("f64 request was handed an f32 buffer")
 	}

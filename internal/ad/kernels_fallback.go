@@ -10,7 +10,7 @@ var useAVX2 = false
 
 var useFMA = false
 
-func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n int) {
+func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n, rows int) {
 	panic("ad: band2pAVX2 called without AVX2 support")
 }
 
@@ -22,8 +22,12 @@ func ntPanelAVX2(s *[16]float64, a0, a1, a2, a3, panel *float64, k int) {
 	panic("ad: ntPanelAVX2 called without AVX2 support")
 }
 
-func vexpFMA(o, x *float64, n int, consts *[64]float64) int {
+func vexpFMA(o, x *float64, n int, consts *[104]float64) int {
 	panic("ad: vexpFMA called without FMA support")
+}
+
+func lstmCellAVX2(h, c, x, w, b, cp *float64, n, H int, consts *[104]float64) bool {
+	panic("ad: lstmCellAVX2 called without FMA support")
 }
 
 func band2pFMA32(o0, o1, o2, o3, bp, bq *float32, av *[8]float32, n int) {

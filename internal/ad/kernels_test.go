@@ -131,7 +131,9 @@ func TestKernelsBitwiseOracleSpecials(t *testing.T) {
 // BenchmarkMatmulKernels compares the blocked kernels against the scalar
 // reference on the model's hot shapes: the forward/backward products of
 // an LSTM step on a 4-row training shard and on a full 32-row batch, and
-// the decoder's output projection. EXPERIMENTS.md quotes its gflops from
+// the decoder's output projection; then matmul alone at the encoder's
+// gate shape (k = 48, c = 128) for r = 1…8 rows, where every r%4 rows
+// run as a partial band. EXPERIMENTS.md quotes its gflops from
 // `go test -run '^$' -bench BenchmarkMatmulKernels -count N ./internal/ad`.
 func BenchmarkMatmulKernels(b *testing.B) {
 	shapes := []struct {
@@ -176,5 +178,18 @@ func BenchmarkMatmulKernels(b *testing.B) {
 				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 			})
 		}
+	}
+	const k, c = 48, 128
+	for r := 1; r <= 8; r++ {
+		a, bm, out := make([]float64, r*k), make([]float64, k*c), make([]float64, r*c)
+		rng := rand.New(rand.NewSource(1))
+		fillRand(rng, a, 0)
+		fillRand(rng, bm, 0)
+		b.Run(fmt.Sprintf("NN/rows-%d/blocked", r), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matmul(out, a, bm, r, k, c)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1000/float64(b.N*r*k*c), "ps/madd")
+		})
 	}
 }

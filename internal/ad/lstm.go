@@ -19,9 +19,12 @@ import (
 //
 // Recording and f32 tapes emit the composite ops (Add, SliceCols,
 // Sigmoid, Tanh, Mul and, when masked, Blend), which are the reference.
-// f64 forward tapes run one fused pass per row instead (lstmCellFused)
-// that performs the same scalar operations in the same order and is
-// bitwise equal to the composite ops (TestLSTMCellFusedMatchesComposite).
+// f64 forward tapes run one fused pass per row instead (lstmCellFused):
+// on FMA hosts a 4-lane assembly kernel (lstmCellAVX2) over four hidden
+// units per vector, with the Go loop (lstmCellUnits) for the H%4 tail
+// and for rows the kernel declines. Both perform the same scalar
+// operations in the same order and are bitwise equal to the composite
+// ops (TestLSTMCellFusedMatchesComposite, FuzzLSTMCell).
 func (t *Tape) LSTMCell(xw, hw, b, hPrev, cPrev *V, mask []float64) (h, c *V) {
 	B, H := hPrev.R, hPrev.C
 	if xw.R != B || xw.C != 4*H || hw.R != B || hw.C != 4*H || b.R != 1 || b.C != 4*H ||
@@ -54,21 +57,21 @@ func (t *Tape) lstmCellComposite(xw, hw, b, hPrev, cPrev *V, mask []float64) (h,
 	return h, c
 }
 
-// lstmCellFused is LSTMCell on f64 forward tapes. Per row it writes every
-// exponential the gates need into one scratch row — exp(-z) for the
-// three sigmoids, exp(2|z|) for tanh(g) — and runs them through one
-// expv; then it forms the gates and the cell, and runs a second expv
-// over exp(2|c|) for tanh(c). Each value is computed as its composite op
-// computes it: 1/(1+math.Exp(-z)) for σ, math.Tanh through tanhExp for
-// tanh, and the products rounded before the cell's sum, which the
-// explicit float64 conversions keep the compiler from fusing into an FMA.
+// lstmCellFused is LSTMCell on f64 forward tapes. Held rows copy their
+// state. On FMA hosts (useFMA, the gate vexpFMA runs under) a live row
+// runs lstmCellAVX2 over its first H&^3 hidden units, four per vector,
+// and lstmCellUnits over the H%4 tail; a row the kernel declines (a
+// sigmoid argument outside the vector exp's range) and every row on
+// other hosts runs lstmCellUnits whole. Both paths compute each value as
+// its composite op computes it, so they agree bit for bit.
 func (t *Tape) lstmCellFused(xw, hw, b, hPrev, cPrev *V, mask []float64) (h, c *V) {
 	B, H := hPrev.R, hPrev.C
-	h, c = t.new(B, H), t.new(B, H)
-	// e holds the exponential arguments, then their values, for the
-	// four gate blocks; zg keeps the g pre-activations tanhExp reads.
-	scr := t.scratch(5 * H)
-	e, zg := scr[:4*H], scr[4*H:]
+	h, c = t.newDirty(B, H), t.newDirty(B, H)
+	nv := 0
+	if useFMA {
+		nv = H &^ 3
+	}
+	var scr []float64
 	bw := b.W
 	for r := 0; r < B; r++ {
 		hr, cr := h.W[r*H:(r+1)*H], c.W[r*H:(r+1)*H]
@@ -79,28 +82,61 @@ func (t *Tape) lstmCellFused(xw, hw, b, hPrev, cPrev *V, mask []float64) (h, c *
 			continue
 		}
 		xr, wr := xw.W[r*4*H:(r+1)*4*H], hw.W[r*4*H:(r+1)*4*H]
-		for j := range e {
-			e[j] = -((xr[j] + wr[j]) + bw[j])
+		lo := 0
+		if nv > 0 && lstmCellAVX2(&hr[0], &cr[0], &xr[0], &wr[0], &bw[0], &cp[0], nv, H, expConsts) {
+			lo = nv
 		}
-		for j, nz := range e[2*H : 3*H] { // tanh(g) takes exp(2|g|)
-			zg[j] = -nz
-			e[2*H+j] = 2 * math.Abs(nz)
+		if lo == H {
+			continue
 		}
-		expv(e, e)
-		ei, ef, eg, eo := e[:H], e[H:2*H], e[2*H:3*H], e[3*H:]
-		// Once i is formed its block takes tanh(c)'s arguments.
-		for j := range cr {
-			ig := 1 / (1 + ei[j])
-			fg := 1 / (1 + ef[j])
-			gg := tanhExp(zg[j], eg[j])
-			cv := float64(fg*cp[j]) + float64(ig*gg)
-			cr[j] = cv
-			ei[j] = 2 * math.Abs(cv)
+		if scr == nil {
+			scr = t.scratch(5 * H)
 		}
-		expv(ei, ei)
-		for j := range hr {
-			hr[j] = (1 / (1 + eo[j])) * tanhExp(cr[j], ei[j])
-		}
+		lstmCellUnits(hr, cr, cp, xr, wr, bw, lo, scr)
 	}
 	return h, c
+}
+
+// lstmCellUnits computes hidden units lo..H-1 of one live row in Go. It
+// writes every exponential those units' gates need into one scratch
+// row — exp(-z) for the three sigmoids, exp(2|z|) for tanh(g) — and runs
+// them through one expv; then it forms the gates and the cell, and runs
+// a second expv over exp(2|c|) for tanh(c). Each value is computed as
+// its composite op computes it: 1/(1+math.Exp(-z)) for σ, math.Tanh
+// through tanhExp for tanh, and the products rounded before the cell's
+// sum, which the explicit float64 conversions keep the compiler from
+// fusing into an FMA. hr, cr and cp are the row's [H] state, xr, wr and
+// bw its [4H] gate operands; scr holds at least 5(H-lo) elements.
+func lstmCellUnits(hr, cr, cp, xr, wr, bw []float64, lo int, scr []float64) {
+	H := len(cr)
+	m := H - lo
+	// e holds the exponential arguments, then their values, for the
+	// four gate blocks; zg keeps the g pre-activations tanhExp reads.
+	e, zg := scr[:4*m], scr[4*m:5*m]
+	for q := 0; q < 4; q++ {
+		eq, xq, wq, bq := e[q*m:(q+1)*m], xr[q*H+lo:(q+1)*H], wr[q*H+lo:(q+1)*H], bw[q*H+lo:(q+1)*H]
+		for j := range eq {
+			eq[j] = -((xq[j] + wq[j]) + bq[j])
+		}
+	}
+	for j, nz := range e[2*m : 3*m] { // tanh(g) takes exp(2|g|)
+		zg[j] = -nz
+		e[2*m+j] = 2 * math.Abs(nz)
+	}
+	expv(e, e)
+	ei, ef, eg, eo := e[:m], e[m:2*m], e[2*m:3*m], e[3*m:]
+	hr, cr, cp = hr[lo:], cr[lo:], cp[lo:]
+	// Once i is formed its block takes tanh(c)'s arguments.
+	for j := range cr {
+		ig := 1 / (1 + ei[j])
+		fg := 1 / (1 + ef[j])
+		gg := tanhExp(zg[j], eg[j])
+		cv := float64(fg*cp[j]) + float64(ig*gg)
+		cr[j] = cv
+		ei[j] = 2 * math.Abs(cv)
+	}
+	expv(ei, ei)
+	for j := range hr {
+		hr[j] = (1 / (1 + eo[j])) * tanhExp(cr[j], ei[j])
+	}
 }

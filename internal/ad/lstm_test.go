@@ -1,6 +1,7 @@
 package ad
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -283,6 +284,172 @@ func TestLSTMCellOtherTapesEmitComposite(t *testing.T) {
 		refh, refc := lstmCellReference(NewForwardF32(NewPool()), xw, hw, b, hPrev, cPrev, mask)
 		if !equalW(f32h, refh) || !equalW(f32c, refc) || len(f32h.W32) != B*H {
 			t.Errorf("mask %v: f32 tape outputs differ from the composite ops", mask)
+		}
+	}
+}
+
+// cellOperands unpacks FuzzLSTMCell's input into one cell's operands:
+// three rows of H hidden units. Each gate operand is filled unit-major
+// and cyclically from its own bytes, read as little-endian float64s
+// (none: zeros): unit j of row r takes value 4(rH+j)+q for gate q, so
+// a four-value seed sets the i, f, g and o pre-activations of every
+// unit alike. cPrev cycles through cs and hPrev is its negation. Mask
+// bits 0–2 hold rows 0–2; bit 3 drops the mask.
+func cellOperands(h, maskBits uint8, xs, ws, bs, cs []byte) (xw, hw, b, hPrev, cPrev *V, mask []float64) {
+	const B = 3
+	H := 1 + int(h)%40
+	floats := func(p []byte) []float64 {
+		f := make([]float64, len(p)/8)
+		for i := range f {
+			f[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+		return f
+	}
+	gates := func(p []byte, rows int) *V {
+		v, f := New(rows, 4*H), floats(p)
+		if len(f) == 0 {
+			return v
+		}
+		for r := 0; r < rows; r++ {
+			for j := 0; j < H; j++ {
+				for q := 0; q < 4; q++ {
+					v.W[r*4*H+q*H+j] = f[(4*(r*H+j)+q)%len(f)]
+				}
+			}
+		}
+		return v
+	}
+	xw, hw, b = gates(xs, B), gates(ws, B), gates(bs, 1)
+	hPrev, cPrev = New(B, H), New(B, H)
+	if f := floats(cs); len(f) > 0 {
+		for i := range cPrev.W {
+			cPrev.W[i] = f[i%len(f)]
+			hPrev.W[i] = -cPrev.W[i]
+		}
+	}
+	if maskBits&8 == 0 {
+		mask = make([]float64, B)
+		for r := range mask {
+			if maskBits&(1<<r) == 0 {
+				mask[r] = 1
+			}
+		}
+	}
+	return xw, hw, b, hPrev, cPrev, mask
+}
+
+// f64Bytes packs values as FuzzLSTMCell's operand bytes.
+func f64Bytes(xs ...float64) []byte {
+	p := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(x))
+	}
+	return p
+}
+
+// FuzzLSTMCell: LSTMCell on f64 forward tapes must equal the composite
+// ops on a recording tape bit for bit, with the vector kernels on
+// (where the host has them), the 4-lane cell off but the AVX2 GEMMs on,
+// and both off. NaN matches any NaN: where two NaN operands meet, Go
+// leaves which payload survives to the compiler's operand order, so
+// only NaN-ness is portable (sameBits). The seeds cover ±0, ±Inf, NaN
+// and subnormals; sigmoid arguments at the vector exp's range ends
+// (-z = -708 and 709) and one ulp past each; |g| and |c| at tanhExp's
+// regime borders 0.625 and 44.01 and one ulp either side; hidden sizes
+// around the 4-unit vector; and held rows.
+func FuzzLSTMCell(f *testing.F) {
+	near := func(x float64) []float64 {
+		return []float64{x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1))}
+	}
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, math.MaxFloat64}
+	var edges []float64
+	for _, x := range []float64{708, -708, 709, -709} {
+		edges = append(edges, near(x)...)
+	}
+	var borders []float64
+	for _, x := range []float64{0.625, -0.625, 0.5 * tanhMaxLog, -0.5 * tanhMaxLog} {
+		borders = append(borders, near(x)...)
+	}
+	negZero := math.Copysign(0, -1)
+	for _, H := range []uint8{1, 3, 4, 5, 32, 33} {
+		// z_g = -0 and cPrev = -0, so g and then c are -0, which tanh
+		// must return as is.
+		f.Add(H, uint8(8), f64Bytes(1, -1, negZero, 2), f64Bytes(negZero), f64Bytes(negZero), f64Bytes(negZero))
+		for _, mask := range []uint8{0, 2, 7, 8} {
+			f.Add(H, mask, f64Bytes(specials...), f64Bytes(0.5, -1), f64Bytes(0.25), f64Bytes(specials...))
+			f.Add(H, mask, f64Bytes(edges...), []byte(nil), []byte(nil), f64Bytes(0.3, -2))
+		}
+		for _, e := range edges {
+			// One gate at a range end, the others ordinary.
+			f.Add(H, uint8(8), f64Bytes(e, 0.5, -0.5, 1), f64Bytes(0.5, e, 1, -1), []byte(nil), f64Bytes(1))
+			f.Add(H, uint8(8), f64Bytes(0.5, -0.5, 1, e), []byte(nil), []byte(nil), f64Bytes(-1))
+		}
+		for _, x := range borders {
+			// |g| at a border.
+			f.Add(H, uint8(8), f64Bytes(1, -1, x, 2), []byte(nil), []byte(nil), f64Bytes(0.7))
+			// |c| at a border: σ(f) rounds to 1 and σ(i)·g vanishes
+			// beside cPrev, so c = cPrev exactly.
+			f.Add(H, uint8(8), f64Bytes(-40, 40, 0.5, 0), []byte(nil), []byte(nil), f64Bytes(x))
+		}
+	}
+	f.Fuzz(func(t *testing.T, h, maskBits uint8, xs, ws, bs, cs []byte) {
+		xw, hw, b, hPrev, cPrev, mask := cellOperands(h, maskBits, xs, ws, bs, cs)
+		wantH, wantC := lstmCellReference(NewTape(), xw, hw, b, hPrev, cPrev, mask)
+		savedAVX2, savedFMA := useAVX2, useFMA
+		defer func() { useAVX2, useFMA = savedAVX2, savedFMA }()
+		for _, on := range [][2]bool{{savedAVX2, savedFMA}, {savedAVX2, false}, {false, false}} {
+			useAVX2, useFMA = on[0], on[1]
+			pool := NewPool()
+			for round := 0; round < 2; round++ { // fresh, then recycled buffers
+				tape := NewForward(pool)
+				gotH, gotC := tape.LSTMCell(xw, hw, b, hPrev, cPrev, mask)
+				for i := range wantH.W {
+					if !sameBits(gotH.W[i], wantH.W[i]) || !sameBits(gotC.W[i], wantC.W[i]) {
+						t.Fatalf("useAVX2=%v useFMA=%v round %d H=%d: unit %d h %x c %x, composite h %x c %x",
+							on[0], on[1], round, hPrev.C, i,
+							math.Float64bits(gotH.W[i]), math.Float64bits(gotC.W[i]),
+							math.Float64bits(wantH.W[i]), math.Float64bits(wantC.W[i]))
+					}
+				}
+				tape.ReleaseSince(0)
+			}
+		}
+	})
+}
+
+// BenchmarkLSTMCell measures LSTMCell on f64 forward tapes at the
+// encoder's step shape (8 live rows × 32 hidden units) and a decoder
+// step's (40 hypotheses × 64 units), with the 4-lane cell kernel and
+// with the Go loop, in ns per hidden unit. Pre-activations are drawn
+// like a trained model's: mostly within a few units of zero.
+func BenchmarkLSTMCell(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		B, H int
+	}{{"enc-8x32", 8, 32}, {"dec-40x64", 40, 64}} {
+		r := rand.New(rand.NewSource(59))
+		xw, hw, bias := randV(r, sh.B, 4*sh.H), randV(r, sh.B, 4*sh.H), randV(r, 1, 4*sh.H)
+		hPrev, cPrev := randV(r, sh.B, sh.H), randV(r, sh.B, sh.H)
+		for _, vec := range []bool{true, false} {
+			name := sh.name + "/go"
+			if vec {
+				name = sh.name + "/vector"
+			}
+			b.Run(name, func(b *testing.B) {
+				if vec && !useFMA {
+					b.Skip("host has no FMA")
+				}
+				saved := useFMA
+				useFMA = vec
+				defer func() { useFMA = saved }()
+				tape := NewForward(NewPool())
+				for i := 0; i < b.N; i++ {
+					tape.LSTMCell(xw, hw, bias, hPrev, cPrev, nil)
+					tape.ReleaseSince(0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.B*sh.H), "ns/unit")
+			})
 		}
 	}
 }

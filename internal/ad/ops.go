@@ -133,11 +133,11 @@ func (t *Tape) AttnScores(dec, enc *V, T int) *V {
 		panic(fmt.Sprintf("ad: AttnScores enc %dx%d for B=%d T=%d H=%d", enc.R, enc.C, B, T, H))
 	}
 	if t.f32 && !t.grad {
-		out := t.new(B, T)
+		out := t.newDirty(B, T)
 		attnScores32(out.W32, f32w(dec), f32w(enc), B, T, H)
 		return out
 	}
-	out := t.new(B, T)
+	out := t.newDirty(B, T)
 	for b := 0; b < B; b++ {
 		db := dec.W[b*H : (b+1)*H]
 		for tt := 0; tt < T; tt++ {
@@ -279,7 +279,7 @@ func (t *Tape) StackRows(vs []*V) *V {
 	if t.f32 && !t.grad {
 		return t.stackRowsF32(vs, T, B, C)
 	}
-	out := t.new(B*T, C)
+	out := t.newDirty(B*T, C)
 	for tt, v := range vs {
 		if v.R != B || v.C != C {
 			panic("ad: StackRows shape mismatch")
@@ -342,7 +342,7 @@ func (t *Tape) Blend(a, b *V, mask []float64) *V {
 	if t.f32 && !t.grad {
 		return t.blendF32(a, b, mask)
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		src := b
 		if mask[i] != 0 {

@@ -36,7 +36,7 @@ func (t *Tape) LayerNorm(a, gain, bias *V) *V {
 	if t.f32 && !t.grad {
 		return t.layerNormF32(a, gain, bias, eps)
 	}
-	out := t.new(R, C)
+	out := t.newDirty(R, C)
 	// Per-row inverse deviations and normalized values for backward,
 	// drawn like every other op's backward state so pooled tapes
 	// recycle them.
@@ -97,7 +97,7 @@ func (t *Tape) AddRowsConst(a *V, c []float64) *V {
 	if len(c) != len(a.W) {
 		panic("ad: AddRowsConst length mismatch")
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := range a.W {
 		out.W[i] = a.W[i] + c[i]
 	}

@@ -36,7 +36,7 @@ func (t *Tape) GatherRowBlocks(a *V, idx []int, block int) *V {
 	if t.f32 && !t.grad {
 		return t.gatherRowBlocksF32(a, idx, block, nb, stride)
 	}
-	out := t.new(len(idx)*block, a.C)
+	out := t.newDirty(len(idx)*block, a.C)
 	for i, id := range idx {
 		if id < 0 || id >= nb {
 			panic(fmt.Sprintf("ad: GatherRowBlocks index %d out of %d blocks", id, nb))
@@ -98,7 +98,7 @@ func (t *Tape) LogSoftmaxRows(a *V) *V {
 	if t.f32 && !t.grad {
 		return t.logSoftmaxRowsF32(a)
 	}
-	out := t.new(a.R, a.C)
+	out := t.newDirty(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		logSoftmaxRow(out.W[i*a.C:(i+1)*a.C], a.W[i*a.C:(i+1)*a.C])
 	}

@@ -46,7 +46,7 @@ func (t *Tape) AttnScoresGrouped(dec, enc *V, groups []int, T int) *V {
 		panic(fmt.Sprintf("ad: AttnScoresGrouped enc %dx%d for L=%d T=%d H=%d", enc.R, enc.C, L, T, H))
 	}
 	checkGroups("AttnScoresGrouped", groups, L, enc.R/T)
-	out := t.new(L, T)
+	out := t.newDirty(L, T)
 	if t.f32 && !t.grad {
 		attnScoresGrouped32(out.W32, f32w(dec), f32w(enc), groups, T, H)
 		return out
@@ -146,9 +146,11 @@ func (t *Tape) SoftmaxRowsMaskedGrouped(a *V, mask []float64, groups []int) *V {
 // WeightedSumGrouped computes attention contexts against shared encoder
 // blocks: given weights alpha [L,T], blocks enc [S*T,H], and a row→block
 // map, returns ctx [L,H] with ctx[l] = sum_t alpha[l,t] *
-// enc[groups[l]*T+t]. The scalar path keeps WeightedSum's skip on zero
-// weights (masked positions contribute exactly nothing), so each row is
-// bitwise equal to the tiled path.
+// enc[groups[l]*T+t]. The f64 path runs one matmul per maximal run of
+// consecutive rows that share a block (a search's beams are
+// consecutive): each element accumulates in ascending t and skips zero
+// weights (masked positions contribute exactly nothing), WeightedSum's
+// own chain, so each row is bitwise equal to the tiled path.
 func (t *Tape) WeightedSumGrouped(alpha, enc *V, groups []int, H int) *V {
 	L, T := alpha.R, alpha.C
 	if enc.C != H || T <= 0 || enc.R%T != 0 {
@@ -160,19 +162,13 @@ func (t *Tape) WeightedSumGrouped(alpha, enc *V, groups []int, H int) *V {
 		weightedSumGrouped32(out.W32, f32w(alpha), f32w(enc), groups, T, H)
 		return out
 	}
-	for l := 0; l < L; l++ {
-		ob := out.W[l*H : (l+1)*H]
-		base := groups[l] * T
-		for tt := 0; tt < T; tt++ {
-			w := alpha.W[l*T+tt]
-			if w == 0 {
-				continue
-			}
-			eb := enc.W[(base+tt)*H : (base+tt+1)*H]
-			for j := 0; j < H; j++ {
-				ob[j] += w * eb[j]
-			}
+	for l0 := 0; l0 < L; {
+		g, l1 := groups[l0], l0+1
+		for l1 < L && groups[l1] == g {
+			l1++
 		}
+		matmul(out.W[l0*H:l1*H], alpha.W[l0*T:l1*T], enc.W[g*T*H:(g+1)*T*H], l1-l0, T, H)
+		l0 = l1
 	}
 	if t.grad {
 		gs := append([]int(nil), groups...)

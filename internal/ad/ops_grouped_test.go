@@ -76,6 +76,40 @@ func TestGroupedAttnMatchesTiled(t *testing.T) {
 	}
 }
 
+// TestGroupedAttnBeamsMatchTiled repeats TestGroupedAttnMatchesTiled on
+// the decoder's layout: each search's beams are consecutive rows (five
+// per block here, so WeightedSumGrouped's per-block matmul runs a full
+// band and a partial one), blocks have ragged real lengths, and the
+// context width reaches the vector kernels.
+func TestGroupedAttnBeamsMatchTiled(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() *Tape
+	}{
+		{"exact", func() *Tape { return NewForward(NewPool()) }},
+		{"f32", func() *Tape { return NewForwardF32(NewPool()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(93))
+			const S, T, H = 3, 7, 16
+			enc := randV(r, S*T, H)
+			groups := []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2}
+			dec := randV(r, len(groups), H)
+			mask := make([]float64, S*T)
+			for b, n := range []int{T, 4, 6} {
+				for tt := 0; tt < n; tt++ {
+					mask[b*T+tt] = 1
+				}
+			}
+			ws, wa, wc := tiledAttn(tc.mk(), dec, enc, mask, groups, T, H)
+			gs, ga, gc := groupedAttn(tc.mk(), dec, enc, mask, groups, T, H)
+			if !equalW(gs, ws) || !equalW(ga, wa) || !equalW(gc, wc) {
+				t.Errorf("grouped attention over consecutive beams differs from the tiled ops")
+			}
+		})
+	}
+}
+
 // TestGroupedAttnFullyMaskedRow pins the fully-masked-block contract:
 // all-zero attention weights and an all-zero context, matching
 // SoftmaxRowsMasked.

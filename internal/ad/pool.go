@@ -18,8 +18,10 @@ import "math/bits"
 // A Pool is not safe for concurrent use: give each goroutine its own
 // (Model.Predict and the parallel evaluators do this internally).
 type Pool struct {
-	free   map[int][]*V
-	free32 map[int][]*V
+	// free and free32 are the released values, indexed by the ordinal
+	// of their size class (classOrdinal).
+	free   [][]*V
+	free32 [][]*V
 	// maxElems is the element count of the largest buffer ever drawn
 	// from this pool — the high-water mark of the working set. Tests use
 	// it to pin memory-footprint properties (e.g. that beam decoding's
@@ -33,7 +35,7 @@ type Pool struct {
 }
 
 // NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{free: map[int][]*V{}, free32: map[int][]*V{}} }
+func NewPool() *Pool { return &Pool{} }
 
 // MaxBufferElems returns the element count of the largest single buffer
 // drawn from the pool since creation (recycled or fresh).
@@ -44,10 +46,36 @@ func (p *Pool) MaxBufferElems() int { return p.maxElems }
 // width (float32 buffers count 4 bytes per element, float64 count 8).
 func (p *Pool) MaxBufferBytes() int { return p.maxBytes }
 
-// get returns a zeroed [r,c] value, reusing released storage of the same
-// element count when available. Values from get carry no gradient
-// storage; forward tapes, which never run Backward, use them directly.
-func (p *Pool) get(r, c int) *V {
+// Poison overwrites every released buffer with x, in both precisions.
+// Ops that write every element of their output draw recycled buffers
+// without clearing them; a pool poisoned with NaN turns an op that reads
+// storage it did not write into a visibly different result, which is
+// how the tests check that contract.
+func (p *Pool) Poison(x float64) {
+	for _, vs := range p.free {
+		for _, v := range vs {
+			w := v.W[:cap(v.W)]
+			for i := range w {
+				w[i] = x
+			}
+		}
+	}
+	for _, vs := range p.free32 {
+		for _, v := range vs {
+			w := v.W32[:cap(v.W32)]
+			for i := range w {
+				w[i] = float32(x)
+			}
+		}
+	}
+}
+
+// get returns an [r,c] value, reusing released storage of the same
+// size class when available. The values are zero when zero is set;
+// otherwise a recycled buffer keeps its last contents, for ops that
+// overwrite every element. Values from get carry no gradient storage;
+// forward tapes, which never run Backward, use them directly.
+func (p *Pool) get(r, c int, zero bool) *V {
 	n := r * c
 	if n > p.maxElems {
 		p.maxElems = n
@@ -55,16 +83,16 @@ func (p *Pool) get(r, c int) *V {
 	if b := n * 8; b > p.maxBytes {
 		p.maxBytes = b
 	}
-	if v := p.take(n); v != nil {
+	if v := p.take(n, zero); v != nil {
 		v.R, v.C = r, c
 		return v
 	}
 	return &V{R: r, C: c, W: make([]float64, n, sizeClass(n))}
 }
 
-// get32 returns a zeroed [r,c] float32-backed value for single-precision
-// forward tapes, recycled through the pool's separate f32 free list.
-func (p *Pool) get32(r, c int) *V {
+// get32 is get for float32-backed values on single-precision forward
+// tapes, recycled through the pool's separate f32 free list.
+func (p *Pool) get32(r, c int, zero bool) *V {
 	n := r * c
 	if n > p.maxElems {
 		p.maxElems = n
@@ -72,7 +100,7 @@ func (p *Pool) get32(r, c int) *V {
 	if b := n * 4; b > p.maxBytes {
 		p.maxBytes = b
 	}
-	if v := p.take32(n); v != nil {
+	if v := p.take32(n, zero); v != nil {
 		v.R, v.C = r, c
 		return v
 	}
@@ -90,7 +118,7 @@ func (p *Pool) getGrad(r, c int) *V {
 	if b := n * 8; b > p.maxBytes {
 		p.maxBytes = b
 	}
-	v := p.take(n)
+	v := p.take(n, true)
 	if v == nil {
 		v = &V{W: make([]float64, n, sizeClass(n))}
 	}
@@ -107,32 +135,55 @@ func (p *Pool) getGrad(r, c int) *V {
 }
 
 // take pops a free value of n's size class, resliced to n elements and
-// zeroed, or nil.
-func (p *Pool) take(n int) *V {
-	cls := sizeClass(n)
-	vs := p.free[cls]
-	if len(vs) == 0 {
+// zeroed if zero is set, or nil.
+func (p *Pool) take(n int, zero bool) *V {
+	v := pop(p.free, n)
+	if v == nil {
 		return nil
 	}
-	v := vs[len(vs)-1]
-	p.free[cls] = vs[:len(vs)-1]
 	v.W = v.W[:n]
-	clear(v.W)
+	if zero {
+		clear(v.W)
+	}
 	return v
 }
 
 // take32 is take for float32 values.
-func (p *Pool) take32(n int) *V {
-	cls := sizeClass(n)
-	vs := p.free32[cls]
-	if len(vs) == 0 {
+func (p *Pool) take32(n int, zero bool) *V {
+	v := pop(p.free32, n)
+	if v == nil {
 		return nil
 	}
-	v := vs[len(vs)-1]
-	p.free32[cls] = vs[:len(vs)-1]
 	v.W32 = v.W32[:n]
-	clear(v.W32)
+	if zero {
+		clear(v.W32)
+	}
 	return v
+}
+
+// pop removes and returns the last value on the free list of n's size
+// class, or nil.
+func pop(free [][]*V, n int) *V {
+	o := classOrdinal(n)
+	if o >= len(free) || len(free[o]) == 0 {
+		return nil
+	}
+	vs := free[o]
+	v := vs[len(vs)-1]
+	vs[len(vs)-1] = nil
+	free[o] = vs[:len(vs)-1]
+	return v
+}
+
+// push appends v to the free list of size class cls, growing the list
+// of classes as needed.
+func push(free [][]*V, cls int, v *V) [][]*V {
+	o := classOrdinal(cls)
+	for len(free) <= o {
+		free = append(free, nil)
+	}
+	free[o] = append(free[o], v)
+	return free
 }
 
 // put returns a value's storage to the pool. The caller must not use v
@@ -144,10 +195,10 @@ func (p *Pool) put(v *V) {
 		if len(v.W32) == 0 {
 			return
 		}
-		p.free32[cap(v.W32)] = append(p.free32[cap(v.W32)], v)
+		p.free32 = push(p.free32, cap(v.W32), v)
 		return
 	}
-	p.free[cap(v.W)] = append(p.free[cap(v.W)], v)
+	p.free = push(p.free, cap(v.W), v)
 }
 
 // sizeClass rounds an element count up to the pool's size classes,
@@ -162,4 +213,16 @@ func sizeClass(n int) int {
 	}
 	step := 1 << (bits.Len(uint(n-1)) - 3)
 	return (n + step - 1) &^ (step - 1)
+}
+
+// classOrdinal numbers the size classes densely from zero: 0–8 are
+// themselves, then four per power of two, so n's class and the class
+// itself share an ordinal.
+func classOrdinal(n int) int {
+	if n <= 8 {
+		return n
+	}
+	l := bits.Len(uint(n - 1))
+	m := (n + 1<<(l-3) - 1) >> (l - 3) // the class in steps: 5..8
+	return 4*l + m - 12
 }

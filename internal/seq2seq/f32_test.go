@@ -112,26 +112,31 @@ func TestPredictF32BatchInvariant(t *testing.T) {
 }
 
 // TestPredictF32AllocsNoMoreThanF64: a warmed f32 decode allocates no
-// more objects or bytes than the exact f64 one over the same sources.
-// Per-call constants — the encoder's zero states above all — are drawn
-// from the tape in its own precision, so the f32 engine never converts
-// a float64 copy of them.
+// more objects or bytes than the exact f64 one over the same sources,
+// for both encoders. Per-call constants — the BiLSTM's zero states and
+// the Transformer's pooling weights — are drawn from the tape in its
+// own precision, so the f32 engine never converts a float64 copy of
+// them.
 func TestPredictF32AllocsNoMoreThanF64(t *testing.T) {
-	m, srcs := benchGroup(8)
-	if err := m.SetPrecision("f64"); err != nil {
-		t.Fatal(err)
-	}
-	a64, b64 := perPredictGroup(m, srcs)
-	if err := m.SetPrecision("f32"); err != nil {
-		t.Fatal(err)
-	}
-	a32, b32 := perPredictGroup(m, srcs)
-	t.Logf("per group of %d: f64 %.1f allocs %.0f B, f32 %.1f allocs %.0f B", len(srcs), a64, b64, a32, b32)
-	// The slack absorbs the runtime's own allocations during the
-	// measurement (a few bytes per run); the float64 zero states the f32
-	// engine used to convert cost ~8 KiB per group.
-	if a32 > a64+0.5 || b32 > b64+64 {
-		t.Errorf("f32 decode allocates %.0f objects and %.0f B per group, exact f64 %.0f and %.0f", a32, b32, a64, b64)
+	for name, enc := range map[string]string{"bilstm": EncoderBiLSTM, "transformer": EncoderTransformer} {
+		t.Run(name, func(t *testing.T) {
+			m, srcs := benchGroupEncoder(8, enc)
+			if err := m.SetPrecision("f64"); err != nil {
+				t.Fatal(err)
+			}
+			a64, b64 := perPredictGroup(m, srcs)
+			if err := m.SetPrecision("f32"); err != nil {
+				t.Fatal(err)
+			}
+			a32, b32 := perPredictGroup(m, srcs)
+			t.Logf("per group of %d: f64 %.1f allocs %.0f B, f32 %.1f allocs %.0f B", len(srcs), a64, b64, a32, b32)
+			// The slack absorbs the runtime's own allocations during the
+			// measurement (a few bytes per run); the float64 zero states
+			// the f32 engine used to convert cost ~8 KiB per group.
+			if a32 > a64+0.5 || b32 > b64+64 {
+				t.Errorf("f32 decode allocates %.0f objects and %.0f B per group, exact f64 %.0f and %.0f", a32, b32, a64, b64)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package seq2seq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -342,6 +343,46 @@ func TestPredictRecycledEncoderMatchesReference(t *testing.T) {
 					t.Fatalf("%s pass %d src %d: PredictBatch diverged from the reference\ngot  %v\nwant %v", EncoderName(enc), pass, i, batch[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestPredictPoisonedPoolMatchesFresh: ops that overwrite their whole
+// output draw recycled pool buffers without clearing them. A decode on
+// a pool whose released buffers are all NaN — the buffers a first
+// decode of the same group drew, so every class the decode draws, as
+// many as it holds at once — must equal, bit for bit, the decode on a
+// fresh pool and on a pool-less tape. Both encoders, both engines, and
+// ragged sources, so the group pads.
+func TestPredictPoisonedPoolMatchesFresh(t *testing.T) {
+	for name, enc := range map[string]string{"bilstm": EncoderBiLSTM, "transformer": EncoderTransformer} {
+		for _, prec := range []string{"f64", "f32"} {
+			t.Run(name+"/"+prec, func(t *testing.T) {
+				m, srcs := benchGroupEncoder(4, enc)
+				if err := m.SetPrecision(prec); err != nil {
+					t.Fatal(err)
+				}
+				group, ks := make([][]string, len(srcs)), make([]int, len(srcs))
+				for j, i := range m.lengthOrder(srcs) {
+					group[j], ks[j] = srcs[i], 5
+				}
+				decode := func(pool *ad.Pool) [][]Prediction {
+					preds, err := m.predictMultiOn(m.inferTape(pool), group, ks, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return preds
+				}
+				want := decode(nil)
+				pool := ad.NewPool()
+				if got := decode(pool); !reflect.DeepEqual(got, want) {
+					t.Fatalf("decode on a fresh pool differs from the pool-less decode")
+				}
+				pool.Poison(math.NaN())
+				if got := decode(pool); !reflect.DeepEqual(got, want) {
+					t.Fatalf("decode on a NaN-poisoned pool differs from the pool-less decode\ngot  %v\nwant %v", got, want)
+				}
+			})
 		}
 	}
 }

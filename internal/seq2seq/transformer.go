@@ -156,21 +156,25 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 
 // meanPool averages the non-padding positions of a time-major sequence.
 func meanPool(t *ad.Tape, xs []*ad.V, flat []float64, B, T int) *ad.V {
-	// Build per-example weights 1/len as an attention-like weighted sum
-	// over the stacked states.
-	counts := make([]float64, B)
+	// Per-example weights 1/len, drawn from the tape in its precision,
+	// make the pool an attention-like weighted sum over the stacked
+	// states.
+	w := t.Zeros(B, T)
 	for b := 0; b < B; b++ {
-		for tt := 0; tt < T; tt++ {
-			counts[b] += flat[b*T+tt]
+		fb := flat[b*T : (b+1)*T]
+		n := 0.0
+		for _, m := range fb {
+			n += m
 		}
-		if counts[b] == 0 {
-			counts[b] = 1
+		if n == 0 {
+			n = 1
 		}
-	}
-	w := ad.New(B, T)
-	for b := 0; b < B; b++ {
-		for tt := 0; tt < T; tt++ {
-			w.Set(b, tt, flat[b*T+tt]/counts[b])
+		for tt, m := range fb {
+			if t.F32() {
+				w.W32[b*T+tt] = float32(m / n)
+			} else {
+				w.W[b*T+tt] = m / n
+			}
 		}
 	}
 	stack := t.StackRows(xs)

@@ -52,6 +52,11 @@ echo "== batched-predict determinism + buffer recycling + server batcher (-count
 # the two runs.
 go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise|TestPredictRecycledEncoderMatchesReference|TestPredictAllocsFlatInSourceLength|TestReleaseSince|TestExpvMatchesMathExp|TestTanhExpMatchesMathTanh|TestLSTMCell' \
 	./internal/seq2seq ./internal/ad
+# The 4-lane cell kernel and partial-band GEMM rows against their Go
+# references, uncleared pool draws against a NaN-poisoned pool, and the
+# grouped weighted sum on matmul over consecutive beams.
+go test -race -count=2 -run 'FuzzLSTMCell|TestKernelsBitwiseOracle|TestClassOrdinalDense|TestGroupedAttn|TestPredictPoisonedPoolMatchesFresh' \
+	./internal/ad ./internal/seq2seq
 # Batch invariance of both engines (a search's bits do not depend on its
 # decode group), live-row encoder steps, tape-drawn zero states, the
 # BPE word memo and ingest's per-run prediction memo.
@@ -59,8 +64,8 @@ go test -race -count=2 -run 'TestPredictF32BatchInvariant|TestPredictF32AllocsNo
 	./internal/seq2seq ./internal/ad ./internal/nn ./internal/bpe ./internal/ingest
 go test -race -count=2 -run 'TestBatcher|TestServerBatcherStress' ./internal/server
 echo "== fuzz seed corpora (no mutation; smoke-checks the native targets) =="
-go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest|FuzzPredict' \
-	./internal/dwarf ./internal/wasm ./internal/leb128 ./internal/bpe ./internal/ingest ./internal/server
+go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest|FuzzPredict|FuzzLSTMCell' \
+	./internal/dwarf ./internal/wasm ./internal/leb128 ./internal/bpe ./internal/ingest ./internal/server ./internal/ad
 echo "== ingest external eval (train tiny model, j1 == j4 == golden, both encoders) =="
 # End-to-end: train a small deterministic predictor, ingest the checked-in
 # real-binary set with embedded-DWARF scoring, and require byte-identical
