@@ -20,22 +20,25 @@ import "sync"
 // data-dependent branch inside the micro-kernel costs more than the
 // loads it saves. matmulNT has no skip semantics, so it keeps a classic
 // 4x4 register micro-kernel (sixteen independent accumulator chains)
-// with a panel-packed b for tall a. matmul's remainder rows (the 1–3
-// after its last full band) form a partial band that runs the same band
-// logic on the vector kernels (matmulPartialBand), and a per-row
-// skip-zero axpy on the pure-Go path; matmulTN's remainder rows run the
-// per-row axpy, and matmulNT's remainder rows and columns fall through
-// to its scalar kernel. The scalar kernels double as the oracle
-// reference in kernels_test.go.
+// with a panel-packed b for tall a, and its remainder rows and columns
+// fall through to its scalar kernel. The scalar kernels double as the
+// oracle reference in kernels_test.go.
 //
-// On amd64 hosts with AVX2 the all-nonzero band fast path and axpy
-// dispatch to vector micro-kernels (kernels_amd64.s). Each f64 vector
-// kernel is bitwise equal to its named scalar reference. For these the
-// reference is the scalar kernels, which round every multiply and add,
-// so they use separate VMULPD/VADDPD (an FMA's single rounding would
-// diverge): each SIMD lane executes exactly the scalar op sequence and
-// the bitwise contract below is preserved. The band kernel takes its
-// row count, 1–4, so a single-row matvec runs it as a one-row band.
+// On amd64 hosts with AVX2 every band of matmul and matmulTN, the 1–3
+// remainder rows included, is one call of the vector band kernel
+// (bandVec → bandAVX2, kernels_amd64.s), which runs the p loop itself:
+// it loads, tests and broadcasts each pair's coefficients and runs a
+// pair holding a zero row by row, each row skipping its zero steps as
+// the per-row skip-zero axpy does; only an odd k's last step runs in Go.
+// The two kernels pass their coefficient strides (a[i*k+p] and
+// a[p*r+i]) and share it.
+// Each f64 vector kernel is bitwise equal to its named scalar
+// reference. For these the reference is the scalar kernels, which round
+// every multiply and add, so they use separate VMULPD/VADDPD (an FMA's
+// single rounding would diverge): each SIMD lane executes exactly the
+// scalar op sequence and the bitwise contract below is preserved. The
+// pure-Go path (other hosts, and c < avxMinC) runs the same band logic
+// in Go, with a per-row skip-zero axpy for the remainder rows.
 //
 // Bitwise contract: every kernel reproduces the scalar kernels' result
 // exactly — for each out[i,j], partial products accumulate in ascending-p
@@ -73,6 +76,12 @@ func axpy(o, bv []float64, s float64) {
 // matmul computes out += a@b with out [r,c], a [r,k], b [k,c]; out is
 // assumed zeroed (fresh) by callers that need assignment semantics.
 func matmul(out, a, b []float64, r, k, c int) {
+	if useAVX2 && c >= avxMinC {
+		for i := 0; i < r; i += blockDim {
+			bandVec(out[i*c:], a[i*k:], b, k, 1, min(blockDim, r-i), k, c)
+		}
+		return
+	}
 	ib := r - r%blockDim
 	for i := 0; i < ib; i += blockDim {
 		a0 := a[i*k : i*k+k : i*k+k]
@@ -91,11 +100,6 @@ func matmul(out, a, b []float64, r, k, c int) {
 			bq := b[(p+1)*c : (p+1)*c+c : (p+1)*c+c]
 			if av00 != 0 && av01 != 0 && av02 != 0 && av03 != 0 &&
 				av10 != 0 && av11 != 0 && av12 != 0 && av13 != 0 {
-				if useAVX2 && c >= avxMinC {
-					av := [8]float64{av00, av01, av02, av03, av10, av11, av12, av13}
-					band2pAVX2(&o0[0], &o1[0], &o2[0], &o3[0], &bp[0], &bq[0], &av, c, blockDim)
-					continue
-				}
 				for j, bv0 := range bp {
 					bv1 := bq[j]
 					t0 := o0[j] + av00*bv0
@@ -152,13 +156,6 @@ func matmul(out, a, b []float64, r, k, c int) {
 			}
 		}
 	}
-	if ib == r {
-		return
-	}
-	if useAVX2 && c >= avxMinC {
-		matmulPartialBand(out[ib*c:r*c], a[ib*k:r*k], b, r-ib, k, c)
-		return
-	}
 	// Remainder rows: per-row skip-zero axpy in ascending p, the scalar
 	// kernel's exact per-element chain.
 	for i := ib; i < r; i++ {
@@ -172,44 +169,25 @@ func matmul(out, a, b []float64, r, k, c int) {
 	}
 }
 
-// matmulPartialBand is matmul's band step on its last rr < blockDim
-// rows, for the vector kernels: each pair of p steps runs band2pAVX2 on
-// rr rows when all rr×2 coefficients are nonzero, and per-row skip-zero
-// axpy otherwise, exactly as a full band does. out is [rr,c], a [rr,k].
-func matmulPartialBand(out, a, b []float64, rr, k, c int) {
-	var o [blockDim]*float64
-	for i := 0; i < rr; i++ {
-		o[i] = &out[i*c]
+// bandVec runs one band of 1–4 rows of matmul or matmulTN on the vector
+// kernel: out holds the band's [rows,c] rows and the coefficient of row
+// q at step p is a[q*rs+p*ps]. bandAVX2 runs every pair of steps, the
+// pairs holding a zero with the per-row skips; an odd k's last step
+// runs here as per-row skip-zero axpy, so every element keeps the
+// scalar kernel's ascending-p chain and skips.
+func bandVec(out, a, b []float64, rs, ps, rows, k, c int) {
+	if k == 0 {
+		return
 	}
-	p := 0
-	for ; p+1 < k; p += 2 {
+	// The kernel's reads and writes stay inside these bounds.
+	_, _, _ = a[(rows-1)*rs+(k-1)*ps], b[k*c-1], out[rows*c-1]
+	bandAVX2(&out[0], &a[0], &b[0], rs, ps, c, k, rows)
+	if k%2 == 1 {
+		p := k - 1
 		bp := b[p*c : p*c+c : p*c+c]
-		bq := b[(p+1)*c : (p+1)*c+c : (p+1)*c+c]
-		var av [8]float64
-		nz := true
-		for i := 0; i < rr; i++ {
-			av[i], av[4+i] = a[i*k+p], a[i*k+p+1]
-			nz = nz && av[i] != 0 && av[4+i] != 0
-		}
-		if nz {
-			band2pAVX2(o[0], o[1], o[2], o[3], &bp[0], &bq[0], &av, c, rr)
-			continue
-		}
-		for i := 0; i < rr; i++ {
-			oi := out[i*c : i*c+c : i*c+c]
-			if av[i] != 0 {
-				axpy(oi, bp, av[i])
-			}
-			if av[4+i] != 0 {
-				axpy(oi, bq, av[4+i])
-			}
-		}
-	}
-	if p < k { // odd k tail
-		bp := b[p*c : p*c+c : p*c+c]
-		for i := 0; i < rr; i++ {
-			if av := a[i*k+p]; av != 0 {
-				axpy(out[i*c:i*c+c:i*c+c], bp, av)
+		for q := 0; q < rows; q++ {
+			if av := a[q*rs+p*ps]; av != 0 {
+				axpy(out[q*c:q*c+c:q*c+c], bp, av)
 			}
 		}
 	}
@@ -357,6 +335,12 @@ func matmulNT(out, a, b []float64, r, k, c int) {
 // Same band-fused axpy shape as matmul; here the four a coefficients of
 // a band sit contiguously in a's row p (a[p*r+i..i+3]).
 func matmulTN(out, a, b []float64, r, k, c int) {
+	if useAVX2 && c >= avxMinC {
+		for i := 0; i < r; i += blockDim {
+			bandVec(out[i*c:], a[i:], b, 1, r, min(blockDim, r-i), k, c)
+		}
+		return
+	}
 	ib := r - r%blockDim
 	for i := 0; i < ib; i += blockDim {
 		o0 := out[i*c : i*c+c : i*c+c]
@@ -371,11 +355,6 @@ func matmulTN(out, a, b []float64, r, k, c int) {
 			bq := b[(p+1)*c : (p+1)*c+c : (p+1)*c+c]
 			if av00 != 0 && av01 != 0 && av02 != 0 && av03 != 0 &&
 				av10 != 0 && av11 != 0 && av12 != 0 && av13 != 0 {
-				if useAVX2 && c >= avxMinC {
-					av := [8]float64{av00, av01, av02, av03, av10, av11, av12, av13}
-					band2pAVX2(&o0[0], &o1[0], &o2[0], &o3[0], &bp[0], &bq[0], &av, c, blockDim)
-					continue
-				}
 				for j, bv0 := range bp {
 					bv1 := bq[j]
 					t0 := o0[j] + av00*bv0

@@ -16,20 +16,24 @@ package ad
 // cell loop: its exponentials expand vexpFMA's own macro, and every
 // other step rounds as the Go code does (FuzzLSTMCell).
 
-// avxMinC is the minimum row width before band2pAVX2 pays for its call
-// overhead; every model GEMM (gate, projection, vocabulary widths) is
-// far above it.
+// avxMinC is the minimum row width before the vector kernels pay for
+// their call overhead; every model GEMM (gate, projection, vocabulary
+// widths) is far above it.
 const avxMinC = 8
 
-// band2pAVX2 applies two fused axpy steps to a band of 1–4 rows:
+// bandAVX2 runs the band step of matmul/matmulTN on a band of 1–4 rows
+// of out (row r at o[r*c:]) for every pair of steps (p, p+1) with
+// p+1 < k:
 //
-//	o_r[j] = (o_r[j] + av[r]*bp[j]) + av[4+r]*bq[j]   r<rows, j<n
+//	o_r[j] = (o_r[j] + a[r*rs+p*ps]*b[p*c+j]) + a[r*rs+(p+1)*ps]*b[(p+1)*c+j]
 //
-// matching the all-nonzero fast path of matmul/matmulTN bitwise. The
-// pointers and coefficients of rows past rows are never read.
+// It tests each pair's coefficients itself (−0 is zero, NaN is not) and
+// runs a pair holding a zero row by row, each row skipping its zero
+// steps. The odd-k tail step is left to the caller. The coefficients
+// and outputs of rows past rows are never read.
 //
 //go:noescape
-func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n, rows int)
+func bandAVX2(o, a, b *float64, rs, ps, c, k, rows int)
 
 // axpyAVX2 computes o[j] += s*b[j] for j=0..n-1; s is nonzero.
 //
@@ -81,8 +85,8 @@ func lstmCellAVX2(h, c, x, w, b, cp *float64, n, H int, consts *[104]float64) bo
 // single-precision FMA on round-to-nearest ties — so asm and fallback
 // are held together by ULP bounds (TestF32KernelsULPBound) instead.
 
-// band2pFMA32 is band2pAVX2 in float32 with fused rounding, 8 lanes per
-// vector:
+// band2pFMA32 is a full band of bandAVX2's pair step in float32 with
+// fused rounding, 8 lanes per vector:
 //
 //	o_r[j] = fma(av[4+r], bq[j], fma(av[r], bp[j], o_r[j]))   r=0..3
 //

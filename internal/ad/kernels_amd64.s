@@ -2,40 +2,81 @@
 
 #include "textflag.h"
 
-// func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n, rows int)
+// func bandAVX2(o, a, b *float64, rs, ps, c, k, rows int)
 //
-// For each j: o_r[j] = (o_r[j] + av[r]*bp[j]) + av[4+r]*bq[j], r=0..rows-1.
+// Runs matmul's band step on rows 0..rows-1 (1–4) of out, o_r = o[r*c:],
+// for each pair of steps (p, p+1) with p+1 < k:
+//
+//	o_r[j] = (o_r[j] + a[r*rs+p*ps]*b[p*c+j]) + a[r*rs+(p+1)*ps]*b[(p+1)*c+j]
+//
+// Before each pair it loads the band's 2×rows coefficients, broadcasts
+// them and compares them with zero (EQ_OQ: −0 is zero and NaN is not,
+// as Go's != 0 decides). A pair holding a zero runs row by row in zpair,
+// each row skipping its zero steps as the scalar kernels' per-row
+// skip-zero axpy does. The odd-k tail step is the caller's.
 // VMULPD/VADDPD only — FMA would fuse the two roundings the scalar code
 // performs and break bitwise equality with the Go kernels. A full band
-// (rows == 4) runs the straight loops below; a partial band (1–3 rows)
-// runs the same per-row steps in the band3 loops, which test the row
-// count after row 0 and never touch the pointers of absent rows.
-TEXT ·band2pAVX2(SB), NOSPLIT, $0-72
-	MOVQ o0+0(FP), R8
-	MOVQ o1+8(FP), R9
-	MOVQ o2+16(FP), R10
-	MOVQ o3+24(FP), R11
-	MOVQ bp+32(FP), R12
-	MOVQ bq+40(FP), R13
-	MOVQ av+48(FP), AX
-	MOVQ n+56(FP), CX
-	MOVQ rows+64(FP), SI
+// (rows == 4) runs the straight loops; a partial band runs the same
+// per-row steps in the band3 loops, which test the row count after row 0
+// and never touch absent rows' coefficients or outputs. The strides let
+// matmul (a[i*k+p]: rs = k, ps = 1) and matmulTN (a[p*r+i]: rs = 1,
+// ps = r) share the kernel.
+TEXT ·bandAVX2(SB), NOSPLIT, $0-64
+	MOVQ o+0(FP), R8
+	MOVQ a+8(FP), AX        // &a[p*ps], p = 0
+	MOVQ b+16(FP), R12      // bp = &b[p*c]
+	MOVQ rs+24(FP), SI
+	MOVQ ps+32(FP), DI
+	MOVQ c+40(FP), CX
 
-	// Broadcast the eight band coefficients once.
-	VBROADCASTSD 0(AX), Y0  // av00 (row 0, column p)
-	VBROADCASTSD 8(AX), Y1  // av01 (row 1, column p)
-	VBROADCASTSD 16(AX), Y2 // av02 (row 2, column p)
-	VBROADCASTSD 24(AX), Y3 // av03 (row 3, column p)
-	VBROADCASTSD 32(AX), Y4 // av10 (row 0, column p+1)
-	VBROADCASTSD 40(AX), Y5 // av11 (row 1, column p+1)
-	VBROADCASTSD 48(AX), Y6 // av12 (row 2, column p+1)
-	VBROADCASTSD 56(AX), Y7 // av13 (row 3, column p+1)
+	SHLQ  $3, SI            // row stride of a, bytes
+	SHLQ  $3, DI            // step stride of a, bytes
+	LEAQ  (R12)(CX*8), R13  // bq = &b[(p+1)*c]
+	LEAQ  (R8)(CX*8), R9    // out row 1
+	LEAQ  (R9)(CX*8), R10   // out row 2
+	MOVQ  CX, BX
+	ANDQ  $-4, BX           // vector loop end (c & ^3)
+	MOVQ  $1, R14           // R14 = p+1
+	VXORPD X15, X15, X15    // zero, for the coefficient tests
+	MOVQ  rows+56(FP), R11
+	CMPQ  R11, $4
+	JLT   partial
+	LEAQ  (R10)(CX*8), R11  // out row 3
+	LEAQ  (SI)(SI*2), R15   // three row strides
 
-	XORQ DX, DX             // j
-	MOVQ CX, BX
-	ANDQ $-4, BX            // vector loop end (n & ^3)
-	CMPQ SI, $4
-	JLT  band3
+full:
+	CMPQ R14, k+48(FP)
+	JGE  done
+	LEAQ (AX)(DI*1), DX     // &a[(p+1)*ps]
+
+	// Broadcast the eight band coefficients and test them for zero.
+	VBROADCASTSD (AX), Y0         // row 0, step p
+	VBROADCASTSD (AX)(SI*1), Y1   // row 1, step p
+	VBROADCASTSD (AX)(SI*2), Y2   // row 2, step p
+	VBROADCASTSD (AX)(R15*1), Y3  // row 3, step p
+	VBROADCASTSD (DX), Y4         // row 0, step p+1
+	VBROADCASTSD (DX)(SI*1), Y5   // row 1, step p+1
+	VBROADCASTSD (DX)(SI*2), Y6   // row 2, step p+1
+	VBROADCASTSD (DX)(R15*1), Y7  // row 3, step p+1
+	VCMPPD       $0, X15, X0, X8
+	VCMPPD       $0, X15, X1, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X2, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X3, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X4, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X5, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X6, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X7, X9
+	VORPD        X9, X8, X8
+	VMOVMSKPD    X8, DX
+	TESTQ        DX, DX
+	JNZ          zpair      // a zero: run the pair row by row
+	XORQ         DX, DX     // j
 
 loop4:
 	CMPQ DX, BX
@@ -43,7 +84,7 @@ loop4:
 	VMOVUPD (R12)(DX*8), Y8 // bp[j:j+4]
 	VMOVUPD (R13)(DX*8), Y9 // bq[j:j+4]
 
-	// row 0: o = (o + av00*bp) + av10*bq
+	// row 0: o = (o + a00*bp) + a10*bq
 	VMOVUPD (R8)(DX*8), Y10
 	VMULPD  Y8, Y0, Y11
 	VADDPD  Y11, Y10, Y10
@@ -80,7 +121,7 @@ loop4:
 
 tail:
 	CMPQ DX, CX
-	JGE  done
+	JGE  fullnext
 	VMOVSD (R12)(DX*8), X8
 	VMOVSD (R13)(DX*8), X9
 
@@ -119,7 +160,49 @@ tail:
 	INCQ DX
 	JMP  tail
 
-	// Partial band: rows 1 and 2 only where present.
+fullnext:
+	ADDQ DI, AX             // next pair: a, bp and bq two steps on
+	ADDQ DI, AX
+	LEAQ (R13)(CX*8), R12
+	LEAQ (R12)(CX*8), R13
+	ADDQ $2, R14
+	JMP  full
+
+	// Partial band: R11 holds the row count; rows 1 and 2 only where
+	// present.
+partial:
+	CMPQ R14, k+48(FP)
+	JGE  done
+	LEAQ (AX)(DI*1), DX
+
+	VBROADCASTSD (AX), Y0
+	VBROADCASTSD (DX), Y4
+	VCMPPD       $0, X15, X0, X8
+	VCMPPD       $0, X15, X4, X9
+	VORPD        X9, X8, X8
+	CMPQ         R11, $2
+	JLT          ptest
+	VBROADCASTSD (AX)(SI*1), Y1
+	VBROADCASTSD (DX)(SI*1), Y5
+	VCMPPD       $0, X15, X1, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X5, X9
+	VORPD        X9, X8, X8
+	CMPQ         R11, $3
+	JLT          ptest
+	VBROADCASTSD (AX)(SI*2), Y2
+	VBROADCASTSD (DX)(SI*2), Y6
+	VCMPPD       $0, X15, X2, X9
+	VORPD        X9, X8, X8
+	VCMPPD       $0, X15, X6, X9
+	VORPD        X9, X8, X8
+
+ptest:
+	VMOVMSKPD X8, DX
+	TESTQ     DX, DX
+	JNZ       zpair
+	XORQ      DX, DX
+
 band3:
 	CMPQ DX, BX
 	JGE  band3tail
@@ -132,7 +215,7 @@ band3:
 	VMULPD  Y9, Y4, Y11
 	VADDPD  Y11, Y10, Y10
 	VMOVUPD Y10, (R8)(DX*8)
-	CMPQ    SI, $2
+	CMPQ    R11, $2
 	JLT     band3next
 
 	VMOVUPD (R9)(DX*8), Y10
@@ -141,7 +224,7 @@ band3:
 	VMULPD  Y9, Y5, Y11
 	VADDPD  Y11, Y10, Y10
 	VMOVUPD Y10, (R9)(DX*8)
-	CMPQ    SI, $3
+	CMPQ    R11, $3
 	JLT     band3next
 
 	VMOVUPD (R10)(DX*8), Y10
@@ -157,7 +240,7 @@ band3next:
 
 band3tail:
 	CMPQ DX, CX
-	JGE  done
+	JGE  partialnext
 	VMOVSD (R12)(DX*8), X8
 	VMOVSD (R13)(DX*8), X9
 
@@ -167,7 +250,7 @@ band3tail:
 	VMULSD X9, X4, X11
 	VADDSD X11, X10, X10
 	VMOVSD X10, (R8)(DX*8)
-	CMPQ   SI, $2
+	CMPQ   R11, $2
 	JLT    band3tailnext
 
 	VMOVSD (R9)(DX*8), X10
@@ -176,7 +259,7 @@ band3tail:
 	VMULSD X9, X5, X11
 	VADDSD X11, X10, X10
 	VMOVSD X10, (R9)(DX*8)
-	CMPQ   SI, $3
+	CMPQ   R11, $3
 	JLT    band3tailnext
 
 	VMOVSD (R10)(DX*8), X10
@@ -189,6 +272,109 @@ band3tail:
 band3tailnext:
 	INCQ DX
 	JMP  band3tail
+
+partialnext:
+	ADDQ DI, AX
+	ADDQ DI, AX
+	LEAQ (R13)(CX*8), R12
+	LEAQ (R12)(CX*8), R13
+	ADDQ $2, R14
+	JMP  partial
+
+	// A pair holding a zero, row by row: a row whose two coefficients
+	// are nonzero runs both steps in one pass, a row with one runs it as
+	// an axpy, a row with none is left as it is.
+zpair:
+	MOVQ R8, R9             // out row r
+	MOVQ AX, R10            // &a[r*rs+p*ps]
+	MOVQ rows+56(FP), R11   // rows left
+
+zrow:
+	VBROADCASTSD (R10), Y12       // row r, step p
+	VBROADCASTSD (R10)(DI*1), Y13 // row r, step p+1
+	VCMPPD       $0, X15, X12, X8
+	VMOVMSKPD    X8, DX
+	VCMPPD       $0, X15, X13, X9
+	VMOVMSKPD    X9, R15
+	TESTQ        DX, DX
+	JNZ          zskip0     // step p is skipped
+	TESTQ        R15, R15
+	JNZ          zonly0     // step p+1 is skipped
+	XORQ         DX, DX
+
+z2:
+	CMPQ    DX, BX
+	JGE     z2tail
+	VMOVUPD (R9)(DX*8), Y10
+	VMULPD  (R12)(DX*8), Y12, Y11
+	VADDPD  Y11, Y10, Y10
+	VMULPD  (R13)(DX*8), Y13, Y11
+	VADDPD  Y11, Y10, Y10
+	VMOVUPD Y10, (R9)(DX*8)
+	ADDQ    $4, DX
+	JMP     z2
+
+z2tail:
+	CMPQ   DX, CX
+	JGE    znext
+	VMOVSD (R9)(DX*8), X10
+	VMULSD (R12)(DX*8), X12, X11
+	VADDSD X11, X10, X10
+	VMULSD (R13)(DX*8), X13, X11
+	VADDSD X11, X10, X10
+	VMOVSD X10, (R9)(DX*8)
+	INCQ   DX
+	JMP    z2tail
+
+zskip0:
+	TESTQ   R15, R15
+	JNZ     znext           // both steps skipped
+	VMOVAPD Y13, Y12        // step p+1 alone
+	MOVQ    R13, R15
+	JMP     z1
+
+zonly0:
+	MOVQ R12, R15           // step p alone
+
+	// One step: o_r[j] += Y12 * R15[j].
+z1:
+	XORQ DX, DX
+
+z1loop:
+	CMPQ    DX, BX
+	JGE     z1tail
+	VMOVUPD (R9)(DX*8), Y10
+	VMULPD  (R15)(DX*8), Y12, Y11
+	VADDPD  Y11, Y10, Y10
+	VMOVUPD Y10, (R9)(DX*8)
+	ADDQ    $4, DX
+	JMP     z1loop
+
+z1tail:
+	CMPQ   DX, CX
+	JGE    znext
+	VMOVSD (R9)(DX*8), X10
+	VMULSD (R15)(DX*8), X12, X11
+	VADDSD X11, X10, X10
+	VMOVSD X10, (R9)(DX*8)
+	INCQ   DX
+	JMP    z1tail
+
+znext:
+	LEAQ (R9)(CX*8), R9
+	ADDQ SI, R10
+	DECQ R11
+	JNZ  zrow
+
+	// Restore the band's row registers and go on with the next pair.
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	MOVQ rows+56(FP), R11
+	CMPQ R11, $4
+	JLT  partialnext
+	LEAQ (R10)(CX*8), R11
+	LEAQ (SI)(SI*2), R15
+	JMP  fullnext
 
 done:
 	VZEROUPPER

@@ -31,16 +31,18 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestBandKernelAVX2Bitwise pins the AVX2 band and axpy micro-kernels
-// to the pure-Go kernels bitwise across randomized shapes, including
-// remainder-only row counts (r < 4, the batch-size-1 matvecs),
-// sub-vector tails, denormals-by-product, and special values in b.
+// TestBandKernelAVX2Bitwise pins the AVX2 band kernel (bandAVX2, which
+// runs a band's whole p loop, the pairs holding a zero row by row) and
+// the axpy micro-kernel to the pure-Go kernels bitwise across randomized
+// shapes, including remainder-only row counts (r < 4, the batch-size-1
+// matvecs), sub-vector tails, denormals-by-product, zeros and −0 in a
+// (one pair holding a zero, or every pair), and special values in b.
 func TestBandKernelAVX2Bitwise(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("host has no AVX2; vector path unreachable")
 	}
 	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 280; trial++ {
 		rr := 1 + r.Intn(12) // remainder-only calls as well as full bands
 		k := 1 + r.Intn(17)
 		c := 1 + r.Intn(37) // exercises c < avxMinC and ragged tails
@@ -52,7 +54,7 @@ func TestBandKernelAVX2Bitwise(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
-		switch trial % 5 {
+		switch trial % 7 {
 		case 1: // zeros in a exercise the skip paths around the asm call
 			a[r.Intn(len(a))] = 0
 		case 2: // special values in b flow through mul/add identically
@@ -60,6 +62,13 @@ func TestBandKernelAVX2Bitwise(t *testing.T) {
 			b[r.Intn(len(b))] = math.NaN()
 		case 3:
 			b[r.Intn(len(b))] = math.Copysign(0, -1)
+		case 5: // −0 is a zero to the kernel's test, as to Go's != 0
+			a[r.Intn(len(a))] = math.Copysign(0, -1)
+			b[r.Intn(len(b))] = math.Inf(-1)
+		case 6: // a zero in every step of row 0: every pair holds one
+			for p := 0; p < k; p++ {
+				a[p] = 0
+			}
 		}
 		vec, scalar := withAVX2(func() []float64 {
 			out := make([]float64, rr*c)

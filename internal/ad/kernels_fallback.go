@@ -10,8 +10,8 @@ var useAVX2 = false
 
 var useFMA = false
 
-func band2pAVX2(o0, o1, o2, o3, bp, bq *float64, av *[8]float64, n, rows int) {
-	panic("ad: band2pAVX2 called without AVX2 support")
+func bandAVX2(o, a, b *float64, rs, ps, c, k, rows int) {
+	panic("ad: bandAVX2 called without AVX2 support")
 }
 
 func axpyAVX2(o, b *float64, s float64, n int) {

@@ -133,7 +133,8 @@ func TestKernelsBitwiseOracleSpecials(t *testing.T) {
 // an LSTM step on a 4-row training shard and on a full 32-row batch, and
 // the decoder's output projection; then matmul alone at the encoder's
 // gate shape (k = 48, c = 128) for r = 1…8 rows, where every r%4 rows
-// run as a partial band. EXPERIMENTS.md quotes its gflops from
+// run as a partial band, and on 4 rows whose coefficients hold 2%, 10%
+// or 50% exact zeros. EXPERIMENTS.md quotes its gflops from
 // `go test -run '^$' -bench BenchmarkMatmulKernels -count N ./internal/ad`.
 func BenchmarkMatmulKernels(b *testing.B) {
 	shapes := []struct {
@@ -192,4 +193,74 @@ func BenchmarkMatmulKernels(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1000/float64(b.N*r*k*c), "ps/madd")
 		})
 	}
+	// The same gate shape on 4 rows with a share of exact zeros in a
+	// (masked attention weights, dropout-masked inputs): every pair of
+	// steps holding one runs as per-row skip-zero axpy.
+	for _, z := range []float64{0.02, 0.1, 0.5} {
+		const r = 4
+		a, bm, out := make([]float64, r*k), make([]float64, k*c), make([]float64, r*c)
+		rng := rand.New(rand.NewSource(1))
+		fillRand(rng, a, z)
+		fillRand(rng, bm, 0)
+		b.Run(fmt.Sprintf("NN/zeros-%g/blocked", z), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matmul(out, a, bm, r, k, c)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1000/float64(b.N*r*k*c), "ps/madd")
+		})
+	}
+}
+
+// FuzzMatmulBitwise holds matmul and matmulTN to matmulScalar and
+// matmulTNScalar bit for bit (any NaN matching any NaN), with the vector
+// kernels on and off: r 1–9 rows (full bands, partial bands and both),
+// k 1–16 (odd and even), c ∈ {1, 7, 8, 9, 33} (below, at and past the
+// vector width), a random share of a's (row, p) coefficients zero or
+// −0, and optionally Inf and NaN in a and b. The seed corpus runs every
+// r with k ∈ {1, 2, 7, 8} and every c.
+func FuzzMatmulBitwise(f *testing.F) {
+	cs := []int{1, 7, 8, 9, 33}
+	for r := 1; r <= 9; r++ {
+		for _, k := range []int{1, 2, 7, 8} {
+			for ci := range cs {
+				f.Add(int64(r*1000+k*10+ci), uint8(r-1), uint8(k-1), uint8(ci), uint8(10*(r%4)), (r+k+ci)%3 == 0)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rr, kk, ci, zeroPct uint8, special bool) {
+		R, K, C := 1+int(rr)%9, 1+int(kk)%16, cs[int(ci)%len(cs)]
+		rng := rand.New(rand.NewSource(seed))
+		a, b, out0 := make([]float64, R*K), make([]float64, K*C), make([]float64, R*C)
+		fillRand(rng, a, 0)
+		fillRand(rng, b, 0)
+		fillRand(rng, out0, 0.3)
+		for n := int(zeroPct) % 101 * len(a) / 100; n > 0; n-- {
+			a[rng.Intn(len(a))] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+		}
+		if special {
+			vals := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+			a[rng.Intn(len(a))] = vals[rng.Intn(len(vals))]
+			for n := 1 + len(b)/8; n > 0; n-- {
+				b[rng.Intn(len(b))] = vals[rng.Intn(len(vals))]
+			}
+		}
+		saved := useAVX2
+		defer func() { useAVX2 = saved }()
+		for _, kc := range []kernelCase{kernelCases[0], kernelCases[2]} {
+			want := append([]float64(nil), out0...)
+			kc.scalar(want, a, b, R, K, C)
+			for _, vec := range []bool{saved, false} {
+				useAVX2 = vec
+				got := append([]float64(nil), out0...)
+				kc.blocked(got, a, b, R, K, C)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("%s r=%d k=%d c=%d avx2=%v: out[%d] = %x (%g), scalar %x (%g)",
+							kc.name, R, K, C, vec, i, math.Float64bits(got[i]), got[i],
+							math.Float64bits(want[i]), want[i])
+					}
+				}
+			}
+		}
+	})
 }

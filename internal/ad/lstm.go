@@ -14,8 +14,11 @@ import (
 //
 // as two [B,H] values. Rows whose mask entry is 0 (padding) hold their
 // state: h and c copy hPrev and cPrev there, and those rows of xw and hw
-// affect no output (nn.LSTM.StepMasked leaves them zero). A nil mask
-// means every row advances.
+// may hold anything — zeros where nn.LSTM's leading-row GEMMs skip
+// them, a gathered padding token's projection where the caller
+// projected tokens once (nn.Tokens) — and affect no output: the fused
+// pass never reads them and the composite ops' Blend discards them. A
+// nil mask means every row advances.
 //
 // Recording and f32 tapes emit the composite ops (Add, SliceCols,
 // Sigmoid, Tanh, Mul and, when masked, Blend), which are the reference.

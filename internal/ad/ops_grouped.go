@@ -93,6 +93,8 @@ func (t *Tape) AttnScoresGrouped(dec, enc *V, groups []int, T int) *V {
 // mask[groups[l]*T : (groups[l]+1)*T] — the grouped sibling that spares
 // the decoder re-tiling the [S*T] mask per hypothesis row. A fully
 // masked row yields all-zero attention, exactly like SoftmaxRowsMasked.
+// On f64 tapes a row's exponentials run through expv, which is bitwise
+// math.Exp, so every value is SoftmaxRowsMasked's.
 func (t *Tape) SoftmaxRowsMaskedGrouped(a *V, mask []float64, groups []int) *V {
 	L, T := a.R, a.C
 	if T <= 0 || len(mask)%T != 0 {
@@ -105,21 +107,33 @@ func (t *Tape) SoftmaxRowsMaskedGrouped(a *V, mask []float64, groups []int) *V {
 	out := t.new(L, T)
 	for l := 0; l < L; l++ {
 		mb := mask[groups[l]*T : (groups[l]+1)*T]
-		max := math.Inf(-1)
-		for tt := 0; tt < T; tt++ {
-			if mb[tt] != 0 && a.W[l*T+tt] > max {
-				max = a.W[l*T+tt]
+		row := a.W[l*T : (l+1)*T]
+		max, hi := math.Inf(-1), 0
+		for tt, m := range mb {
+			if m != 0 {
+				hi = tt + 1
+				if row[tt] > max {
+					max = row[tt]
+				}
 			}
 		}
 		if math.IsInf(max, -1) {
 			continue // fully masked row: all-zero attention
 		}
-		sum := 0.0
-		for tt := 0; tt < T; tt++ {
+		// Up to the last unmasked position, one expv: a masked position
+		// takes exp(-Inf) = +0, the value it holds in out anyway.
+		e := out.W[l*T : l*T+hi]
+		for tt := range e {
+			e[tt] = math.Inf(-1)
 			if mb[tt] != 0 {
-				e := math.Exp(a.W[l*T+tt] - max)
-				out.W[l*T+tt] = e
-				sum += e
+				e[tt] = row[tt] - max
+			}
+		}
+		expv(e, e)
+		sum := 0.0
+		for tt, v := range e {
+			if mb[tt] != 0 {
+				sum += v
 			}
 		}
 		for tt := 0; tt < T; tt++ {

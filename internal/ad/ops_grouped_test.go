@@ -216,3 +216,83 @@ func TestGroupedAttnAllocsSteadyState(t *testing.T) {
 		})
 	}
 }
+
+// attnSpecials are the values planted into queries and keys: signed
+// zeros, infinities, NaN and subnormals.
+var attnSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-310}
+
+// softmaxRowsMaskedGroupedRef is SoftmaxRowsMaskedGrouped's forward pass
+// as a plain math.Exp loop over every position.
+func softmaxRowsMaskedGroupedRef(a, mask []float64, groups []int, T int) []float64 {
+	out := make([]float64, len(a))
+	for l, g := range groups {
+		mb, row, o := mask[g*T:(g+1)*T], a[l*T:(l+1)*T], out[l*T:(l+1)*T]
+		max := math.Inf(-1)
+		for tt := range row {
+			if mb[tt] != 0 && row[tt] > max {
+				max = row[tt]
+			}
+		}
+		if math.IsInf(max, -1) {
+			continue
+		}
+		sum := 0.0
+		for tt := range row {
+			if mb[tt] != 0 {
+				o[tt] = math.Exp(row[tt] - max)
+				sum += o[tt]
+			}
+		}
+		for tt := range o {
+			o[tt] /= sum
+		}
+	}
+	return out
+}
+
+// TestSoftmaxRowsMaskedGroupedExpv pins the expv masked softmax to the
+// math.Exp loop bit for bit (NaN as NaN) on f64 forward and recording
+// tapes: masked tails, interior masked positions, fully masked rows,
+// shifted scores below −708 (chunks the vector exp declines) and NaN,
+// over T from 1 to 13 so every 4-lane chunk boundary is crossed.
+func TestSoftmaxRowsMaskedGroupedExpv(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	const S = 4
+	for T := 1; T <= 13; T++ {
+		for trial := 0; trial < 20; trial++ {
+			mask := make([]float64, S*T)
+			for g := 0; g < S; g++ {
+				n := r.Intn(T + 1) // 0: a fully masked block
+				for tt := 0; tt < n; tt++ {
+					mask[g*T+tt] = 1
+				}
+				if trial%3 == 1 && n > 2 { // an interior masked position
+					mask[g*T+r.Intn(n-1)] = 0
+				}
+			}
+			groups := []int{0, 0, 1, 2, 2, 2, 3, 1, 0}
+			a := randV(r, len(groups), T)
+			for i := range a.W {
+				switch v := r.Intn(10); {
+				case trial%4 == 2 && v < 4: // far below the row max
+					a.W[i] = -700 - 60*r.Float64()
+				case trial%4 == 3 && v == 0:
+					a.W[i] = math.NaN()
+				case trial%4 == 3 && v == 1:
+					a.W[i] = math.Inf(-1)
+				}
+			}
+			want := softmaxRowsMaskedGroupedRef(a.W, mask, groups, T)
+			for _, tape := range []*Tape{NewForward(NewPool()), NewTape()} {
+				got := tape.SoftmaxRowsMaskedGrouped(a, mask, groups)
+				for i := range want {
+					if !sameBits(got.W[i], want[i]) {
+						t.Fatalf("T=%d trial %d recording=%v: alpha[%d,%d] = %x (%g), math.Exp loop %x (%g)",
+							T, trial, tape.Recording(), i/T, i%T, math.Float64bits(got.W[i]), got.W[i],
+							math.Float64bits(want[i]), want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -119,6 +119,62 @@ func (e *Embedding) Lookup(t *ad.Tape, ids []int) *ad.V {
 	return t.Rows(e.Table, ids)
 }
 
+// Tokens is the set of distinct token ids of one forward call, for
+// computing a per-token input transform once per distinct token instead
+// of once per timestep: Add collects the call's ids, Embed looks the
+// distinct ones up, the caller transforms those rows (an LSTM's x·Wx, a
+// projection) into a table, and Gather hands each timestep its rows of
+// the table. Every transform used so is row-wise — each output row
+// depends only on its own input row, through the kernels' fixed
+// per-element accumulation order — so a gathered row is bitwise the row
+// the per-timestep path computes. Forward tapes only: on a recording
+// tape shared rows would reorder the gradient sums of the weights and
+// the embedding, so training keeps the per-timestep ops. The buffers are
+// reused across Reset, so a Tokens kept across calls stops allocating;
+// it is not safe for concurrent use.
+type Tokens struct {
+	row []int // row[id] is 1 + id's row in the table, 0 while absent
+	ids []int // the distinct ids, in order of first Add
+	idx []int // the rows of the last Gather
+}
+
+// Add adds ids to the set.
+func (k *Tokens) Add(ids ...int) {
+	for _, id := range ids {
+		if id >= len(k.row) {
+			k.row = append(k.row, make([]int, id+1-len(k.row))...)
+		}
+		if k.row[id] == 0 {
+			k.ids = append(k.ids, id)
+			k.row[id] = len(k.ids)
+		}
+	}
+}
+
+// Embed returns the distinct ids' embeddings, one row per distinct id
+// in order of first Add.
+func (k *Tokens) Embed(t *ad.Tape, e *Embedding) *ad.V {
+	return e.Lookup(t, k.ids)
+}
+
+// Gather returns the rows of table, a per-token transform of Embed's
+// rows, for ids: [len(ids), table.C]. Every id must be in the set.
+func (k *Tokens) Gather(t *ad.Tape, table *ad.V, ids []int) *ad.V {
+	k.idx = k.idx[:0]
+	for _, id := range ids {
+		k.idx = append(k.idx, k.row[id]-1)
+	}
+	return t.Rows(table, k.idx)
+}
+
+// Reset empties the set, keeping its buffers.
+func (k *Tokens) Reset() {
+	for _, id := range k.ids {
+		k.row[id] = 0
+	}
+	k.ids = k.ids[:0]
+}
+
 // Linear is an affine layer y = x@W + b.
 type Linear struct {
 	W, B *ad.V
@@ -196,14 +252,26 @@ func (l *LSTM) Step(t *ad.Tape, x *ad.V, s State) State {
 // row's gates, so the skipped rows change no bit. Any other mask, and
 // every recording tape, runs the full GEMMs.
 func (l *LSTM) StepMasked(t *ad.Tape, x *ad.V, s State, mask []float64) State {
-	var xw, hw *ad.V
-	if n, ok := leadingLive(mask); ok && n < len(mask) && !t.Recording() {
-		xw, hw = t.MatMulLeading(x, l.Wx, n), t.MatMulLeading(s.H, l.Wh, n)
-	} else {
-		xw, hw = t.MatMul(x, l.Wx), t.MatMul(s.H, l.Wh)
-	}
-	h, c := t.LSTMCell(xw, hw, l.B, s.H, s.C, mask)
+	return l.StepProjected(t, gates(t, x, l.Wx, mask), s, mask)
+}
+
+// StepProjected is StepMasked with the input's gate product xw = x·Wx
+// [B,4H] already computed — on forward tapes once per distinct token of
+// the call (Tokens) and gathered per step. Rows of xw that the mask
+// holds may hold anything: LSTMCell's fused path never reads them and
+// its composite path discards them.
+func (l *LSTM) StepProjected(t *ad.Tape, xw *ad.V, s State, mask []float64) State {
+	h, c := t.LSTMCell(xw, gates(t, s.H, l.Wh, mask), l.B, s.H, s.C, mask)
 	return State{H: h, C: c}
+}
+
+// gates returns x·w, on the leading live rows only when they are the
+// mask's live rows and t is a forward tape.
+func gates(t *ad.Tape, x, w *ad.V, mask []float64) *ad.V {
+	if n, ok := leadingLive(mask); ok && n < len(mask) && !t.Recording() {
+		return t.MatMulLeading(x, w, n)
+	}
+	return t.MatMul(x, w)
 }
 
 // leadingLive reports whether mask's nonzero entries are exactly its

@@ -109,21 +109,47 @@ func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool)
 			}
 		}
 	}
-	// Layer-0 inputs: embeddings per timestep. Lookup copies the ids
-	// wherever it keeps them, so one buffer serves every timestep.
-	inputs := make([]*ad.V, T)
-	ids := make([]int, B)
-	for tt := 0; tt < T; tt++ {
-		for b := 0; b < B; b++ {
-			ids[b] = srcIDs[b][tt]
+	// ids returns timestep tt's token ids in a buffer reused across
+	// timesteps: Lookup and Gather copy the ids wherever they keep them.
+	idBuf := make([]int, B)
+	ids := func(tt int) []int {
+		for b := range idBuf {
+			idBuf[b] = srcIDs[b][tt]
 		}
-		inputs[tt] = m.embSrc.Lookup(t, ids)
+		return idBuf
+	}
+	// Layer 0's input transforms. A forward tape projects each distinct
+	// token of the call once per direction, x·Wx over [U,Embed], and
+	// every timestep gathers its rows (nn.Tokens); a recording tape
+	// embeds every timestep and multiplies it in the step.
+	var inputs []*ad.V
+	var tableF, tableB *ad.V
+	var tk *nn.Tokens
+	if !project(t) {
+		inputs = make([]*ad.V, T)
+		for tt := range inputs {
+			inputs[tt] = m.embSrc.Lookup(t, ids(tt))
+		}
+	} else {
+		tk = m.tokens()
+		defer m.putTokens(tk)
+		for _, row := range srcIDs {
+			tk.Add(row...)
+		}
+		x := tk.Embed(t, m.embSrc)
+		tableF, tableB = t.MatMul(x, e.fwd[0].Wx), t.MatMul(x, e.bwd[0].Wx)
 	}
 	// step advances one direction by one timestep and recycles the
 	// step's gates and intermediates: only the new state survives it.
-	step := func(lstm *nn.LSTM, x *ad.V, s nn.State, mask []float64) nn.State {
+	// Layer 0 of a forward tape gathers the step's rows of the
+	// direction's token table; every other step multiplies its input.
+	step := func(lstm *nn.LSTM, table *ad.V, tt int, s nn.State) nn.State {
 		mark := t.Mark()
-		s = lstm.StepMasked(t, x, s, mask)
+		if inputs == nil {
+			s = lstm.StepProjected(t, tk.Gather(t, table, ids(tt)), s, masks[tt])
+		} else {
+			s = lstm.StepMasked(t, inputs[tt], s, masks[tt])
+		}
 		t.ReleaseSince(mark, s.H, s.C)
 		return s
 	}
@@ -134,12 +160,12 @@ func (e *bilstmEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train bool)
 		bwdOut := make([]*ad.V, T)
 		sf := e.fwd[l].ZeroState(t, B)
 		for tt := 0; tt < T; tt++ {
-			sf = step(e.fwd[l], inputs[tt], sf, masks[tt])
+			sf = step(e.fwd[l], tableF, tt, sf)
 			fwdOut[tt] = sf.H
 		}
 		sb := e.bwd[l].ZeroState(t, B)
 		for tt := T - 1; tt >= 0; tt-- {
-			sb = step(e.bwd[l], inputs[tt], sb, masks[tt])
+			sb = step(e.bwd[l], tableB, tt, sb)
 			bwdOut[tt] = sb.H
 		}
 		next := make([]*ad.V, T)

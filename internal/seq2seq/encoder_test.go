@@ -1,11 +1,14 @@
 package seq2seq
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/ad"
+	"repro/internal/nn"
 )
 
 // TestLayerParamNamesUnique pins the layer-name regression: the old
@@ -150,4 +153,109 @@ func buildModel(t *testing.T, cfg Config, pairs []Pair) *Model {
 		tgts = append(tgts, p.Tgt)
 	}
 	return NewModel(cfg, BuildVocab(srcs, cfg.SrcVocab), BuildVocab(tgts, cfg.TgtVocab))
+}
+
+// TestTokenProjectionMatchesPerStep pins the per-distinct-token input
+// transforms of forward tapes (nn.Tokens: layer 0's x·Wx in both BiLSTM
+// directions, the Transformer's input projection, the decoder's x·Wx)
+// to the per-timestep path bit for bit, for both encoders on f64 and f32
+// tapes: encoder states, decoder init, and the logits of decodeStep and
+// of the batched decoder's decodeStepGrouped. Sources repeat tokens
+// heavily and include UNK, an empty source and ragged lengths; the group
+// is encoded sorted longest first (live rows lead, as beam search
+// encodes) and unsorted (a ValidLoss batch).
+func TestTokenProjectionMatchesPerStep(t *testing.T) {
+	defer func(saved bool) { projectTokens = saved }(projectTokens)
+	r := rand.New(rand.NewSource(23))
+	var srcs, tgts [][]string
+	for _, p := range makeToyData(r, 40) {
+		srcs, tgts = append(srcs, p.Src), append(tgts, p.Tgt)
+	}
+	srcVoc, tgtVoc := BuildVocab(srcs, 0), BuildVocab(tgts, 0)
+	group := [][]string{
+		{"local.get", "0", "local.get", "0", "local.get", "0", "local.get", "0", "i32.add", "local.get", "0"},
+		{"unseen-a", "local.get", "unseen-b", "unseen-a"}, // UNK
+		{}, // encodes as UNK alone
+		srcs[0], srcs[1], srcs[2],
+		append(append([]string(nil), srcs[3]...), srcs[3]...),
+	}
+	for _, encName := range []string{EncoderBiLSTM, EncoderTransformer} {
+		for _, prec := range []string{"f64", "f32"} {
+			cfg := testConfig()
+			cfg.Encoder = encName
+			m := NewModel(cfg, srcVoc, tgtVoc)
+			if err := m.SetPrecision(prec); err != nil {
+				t.Fatal(err)
+			}
+			for _, sorted := range []bool{true, false} {
+				padded := make([][]int, len(group))
+				Tmax := 1
+				for i, src := range group {
+					ids := m.Src.Encode(truncate(src, cfg.MaxSrcLen))
+					if len(ids) == 0 {
+						ids = []int{UNK}
+					}
+					padded[i] = ids
+					Tmax = max(Tmax, len(ids))
+				}
+				if sorted {
+					slices.SortStableFunc(padded, func(a, b []int) int { return len(b) - len(a) })
+				}
+				for i := range padded {
+					padded[i] = pad(padded[i], Tmax)
+				}
+				name := fmt.Sprintf("%s/%s/sorted=%v", EncoderName(encName), prec, sorted)
+				projectTokens = false
+				want := projectionRun(m, padded)
+				projectTokens = true
+				got := projectionRun(m, padded)
+				for i := range want {
+					if !slices.Equal(got[i], want[i]) {
+						t.Errorf("%s: value %d differs from the per-timestep path", name, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// projectionRun encodes padded on a fresh forward tape of m's precision,
+// runs three decodeStep steps and one decodeStepGrouped step over
+// previous tokens with repeats, and returns the bits of the encoder
+// states, the decoder init and every step's state and logits.
+func projectionRun(m *Model, padded [][]int) [][]uint64 {
+	tape := m.inferTape(ad.NewPool())
+	var out [][]uint64
+	keep := func(vs ...*ad.V) {
+		for _, v := range vs {
+			b := make([]uint64, 0, v.Elems())
+			for _, x := range v.W {
+				b = append(b, math.Float64bits(x))
+			}
+			for _, x := range v.W32 {
+				b = append(b, uint64(math.Float32bits(x)))
+			}
+			out = append(out, b)
+		}
+	}
+	enc := m.encode(tape, padded, false)
+	keep(enc.states, enc.init.H, enc.init.C)
+	B := len(padded)
+	prev := make([]int, B)
+	s := enc.init
+	for step := 0; step < 3; step++ {
+		for b := range prev {
+			prev[b] = []int{BOS, EOS, 4, 4, 5}[(b+step)%5]
+		}
+		var logits *ad.V
+		s, logits = m.decodeStep(tape, enc, s, prev, false)
+		keep(s.H, s.C, logits)
+	}
+	// Beam-shaped rows: runs of hypotheses per search, repeated tokens.
+	groups := []int{0, 0, 0, 1, 1, 3, 3, 3, 3, 3, 6}
+	gprev := []int{BOS, 4, 4, 5, 5, 4, 4, 4, BOS, 6, 4}
+	st := nn.GatherState(tape, enc.init, groups)
+	st, logits := m.decodeStepGrouped(tape, enc.operands(), groups, st, gprev)
+	keep(st.H, st.C, logits)
+	return out
 }

@@ -179,6 +179,12 @@ type Model struct {
 	// pools hands each concurrent Predict call its own inference buffer
 	// pool, so beam-search tensors recycle across calls without sharing.
 	pools sync.Pool
+	// toks keeps the distinct-token sets of forward-tape encodes and
+	// decode steps between uses (tokens). It is a mutex-guarded free
+	// list, not a sync.Pool: a pool may drop a set it is handed, and a
+	// dropped set allocates its buffers again on the next call.
+	tokMu sync.Mutex
+	toks  []*nn.Tokens
 
 	// f32 routes the Predict family onto single-precision forward tapes
 	// (ad.NewForwardF32): float32 values end to end, 8-lane FMA kernels,
@@ -243,6 +249,37 @@ func (m *Model) getPool() *ad.Pool {
 }
 
 func (m *Model) putPool(p *ad.Pool) { m.pools.Put(p) }
+
+// projectTokens selects the per-distinct-token input transforms
+// (nn.Tokens) on forward tapes. It is a variable, not a constant, so the
+// tests can force the per-timestep path on a forward tape and compare
+// the two bit for bit (TestTokenProjectionMatchesPerStep); recording
+// tapes always take the per-timestep path.
+var projectTokens = true
+
+// project reports whether t computes its input transforms once per
+// distinct token.
+func project(t *ad.Tape) bool { return projectTokens && !t.Recording() }
+
+// tokens draws an empty distinct-token set for one forward encode or
+// decode step; putTokens empties it and hands it back.
+func (m *Model) tokens() *nn.Tokens {
+	m.tokMu.Lock()
+	defer m.tokMu.Unlock()
+	if n := len(m.toks); n > 0 {
+		k := m.toks[n-1]
+		m.toks = m.toks[:n-1]
+		return k
+	}
+	return new(nn.Tokens)
+}
+
+func (m *Model) putTokens(k *nn.Tokens) {
+	k.Reset()
+	m.tokMu.Lock()
+	m.toks = append(m.toks, k)
+	m.tokMu.Unlock()
+}
 
 // NewModel builds an untrained model over the given vocabularies.
 func NewModel(cfg Config, src, tgt *Vocab) *Model {
@@ -320,8 +357,7 @@ func (m *Model) decodeStep(t *ad.Tape, enc encoded, s nn.State, prev []int, trai
 // do not depend on what other rows share the batch — the property the
 // batched/sequential decoder equivalence rests on.
 func (m *Model) decodeStepOn(t *ad.Tape, encStates *ad.V, mask []float64, T int, s nn.State, prev []int, train bool) (nn.State, *ad.V) {
-	x := m.embTgt.Lookup(t, prev)
-	s = m.dec.Step(t, x, s)
+	s = m.decoderLSTM(t, s, prev)
 	scores := t.AttnScores(s.H, encStates, T)
 	alpha := t.SoftmaxRowsMasked(scores, mask)
 	ctx := t.WeightedSum(alpha, encStates, m.Cfg.Hidden)
@@ -343,12 +379,26 @@ func (m *Model) decodeStepOn(t *ad.Tape, encStates *ad.V, mask []float64, T int,
 // against the tiled formulation), preserving the batched/sequential
 // decoder equivalence.
 func (m *Model) decodeStepGrouped(t *ad.Tape, ops attnOps, groups []int, s nn.State, prev []int) (nn.State, *ad.V) {
-	x := m.embTgt.Lookup(t, prev)
-	s = m.dec.Step(t, x, s)
+	s = m.decoderLSTM(t, s, prev)
 	scores := t.AttnScoresGrouped(s.H, ops.keys, groups, ops.T)
 	alpha := t.SoftmaxRowsMaskedGrouped(scores, ops.mask, groups)
 	ctx := t.WeightedSumGrouped(alpha, ops.keys, groups, m.Cfg.Hidden)
 	hTilde := t.Tanh(m.combine.Apply(t, t.ConcatCols(ctx, s.H)))
 	logits := m.out.Apply(t, hTilde)
 	return s, logits
+}
+
+// decoderLSTM advances the decoder LSTM by one step on the previous
+// tokens prev. A forward tape multiplies each distinct previous token's
+// embedding by the input weights once and gathers the rows
+// (nn.Tokens); a recording tape embeds and multiplies every row.
+func (m *Model) decoderLSTM(t *ad.Tape, s nn.State, prev []int) nn.State {
+	if !project(t) {
+		return m.dec.Step(t, m.embTgt.Lookup(t, prev), s)
+	}
+	tk := m.tokens()
+	defer m.putTokens(tk)
+	tk.Add(prev...)
+	xw := tk.Gather(t, t.MatMul(tk.Embed(t, m.embTgt), m.dec.Wx), prev)
+	return m.dec.StepProjected(t, xw, s, nil)
 }

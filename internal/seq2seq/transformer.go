@@ -87,9 +87,21 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 	}
 	// Embed, project to H, add positional encodings. Every position is
 	// a tape scope (the encoder interface's recycling rule): only its
-	// outputs survive it. Lookup copies the ids it keeps and
+	// outputs survive it. Lookup and Gather copy the ids they keep and
 	// AddRowsConst keeps no reference to the positional rows, so one
-	// buffer of each serves every position.
+	// buffer of each serves every position. A forward tape projects
+	// each distinct token of the call once and gathers every position's
+	// rows (nn.Tokens); a recording tape projects every position.
+	var table *ad.V
+	var tk *nn.Tokens
+	if project(t) {
+		tk = m.tokens()
+		defer m.putTokens(tk)
+		for _, row := range srcIDs {
+			tk.Add(row...)
+		}
+		table = e.proj.Apply(t, tk.Embed(t, m.embSrc))
+	}
 	xs := make([]*ad.V, T)
 	ids := make([]int, B)
 	full := make([]float64, B*H)
@@ -98,7 +110,12 @@ func (e *transformerEncoder) encode(m *Model, t *ad.Tape, srcIDs [][]int, train 
 		for b := 0; b < B; b++ {
 			ids[b] = srcIDs[b][tt]
 		}
-		x := e.proj.Apply(t, m.embSrc.Lookup(t, ids))
+		var x *ad.V
+		if table != nil {
+			x = tk.Gather(t, table, ids)
+		} else {
+			x = e.proj.Apply(t, m.embSrc.Lookup(t, ids))
+		}
 		posEncoding(full[:H], tt)
 		for b := 1; b < B; b++ {
 			copy(full[b*H:(b+1)*H], full[:H])

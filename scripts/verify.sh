@@ -52,6 +52,11 @@ echo "== batched-predict determinism + buffer recycling + server batcher (-count
 # the two runs.
 go test -race -count=2 -run 'TestPredictBatchedMatchesSequential|TestPredictMultiMixedK|TestBandKernelAVX2Bitwise|TestPredictRecycledEncoderMatchesReference|TestPredictAllocsFlatInSourceLength|TestReleaseSince|TestExpvMatchesMathExp|TestTanhExpMatchesMathTanh|TestLSTMCell' \
 	./internal/seq2seq ./internal/ad
+# Per-distinct-token input transforms against the per-timestep path,
+# the expv masked softmax against its math.Exp loop, and the p-looping
+# band kernel against the scalar GEMMs.
+go test -race -count=2 -run 'TestTokenProjectionMatchesPerStep|TestSoftmaxRowsMaskedGroupedExpv|FuzzMatmulBitwise' \
+	./internal/seq2seq ./internal/ad
 # The 4-lane cell kernel and partial-band GEMM rows against their Go
 # references, uncleared pool draws against a NaN-poisoned pool, and the
 # grouped weighted sum on matmul over consecutive beams.
@@ -64,7 +69,7 @@ go test -race -count=2 -run 'TestPredictF32BatchInvariant|TestPredictF32AllocsNo
 	./internal/seq2seq ./internal/ad ./internal/nn ./internal/bpe ./internal/ingest
 go test -race -count=2 -run 'TestBatcher|TestServerBatcherStress' ./internal/server
 echo "== fuzz seed corpora (no mutation; smoke-checks the native targets) =="
-go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest|FuzzPredict|FuzzLSTMCell' \
+go test -run 'FuzzRead|FuzzDecode|FuzzRoundTrip|FuzzEncodeDecode|FuzzIngest|FuzzPredict|FuzzLSTMCell|FuzzMatmulBitwise' \
 	./internal/dwarf ./internal/wasm ./internal/leb128 ./internal/bpe ./internal/ingest ./internal/server ./internal/ad
 echo "== ingest external eval (train tiny model, j1 == j4 == golden, both encoders) =="
 # End-to-end: train a small deterministic predictor, ingest the checked-in
